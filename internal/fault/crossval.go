@@ -102,11 +102,25 @@ type CrossResult struct {
 	SimCompleted bool
 	SimErr       error
 
+	// Intervals holds the certificate's and the simulator's verdicts at
+	// checkpoint intervals 1, 8, 64 and program length + 1.
+	Intervals []IntervalVerdict
+
 	// SegmentMismatch is non-empty when the analytic segment engine and
 	// the stepping engine disagree on the intermittent run — a third
 	// differential axis alongside static-vs-dynamic: the two simulator
 	// paths must be bit-identical on the same stream and capacitor.
 	SegmentMismatch string
+}
+
+// IntervalVerdict pairs the static and dynamic energy verdicts at one
+// checkpoint interval: the WCE certificate over the interval's regions
+// and one RunWithCheckpointInterval run on the same capacitor.
+type IntervalVerdict struct {
+	Interval  int
+	Feasible  bool
+	Completed bool
+	Err       error
 }
 
 // chargeWatts supplies the cross-validation harvester: strong enough
@@ -162,12 +176,36 @@ func CrossValidate(s Subject, cfg *mtj.Config, opts Options) (*CrossResult, erro
 		r.SegmentMismatch = fmt.Sprintf("segment %+v vs stepping %+v", res, stepRes)
 	}
 
+	if r.Intervals, err = intervalVerdicts(s, cfg, lopts, runner); err != nil {
+		return nil, err
+	}
+
 	swp, err := Sweep(s.Workload, opts)
 	if err != nil {
 		return nil, fmt.Errorf("fault: sweeping %s: %w", s.Workload.Name, err)
 	}
 	r.Sweep = swp
 	return r, nil
+}
+
+// intervalVerdicts certifies and runs the subject on cfg's capacitor
+// and the steady source at the hardware's per-instruction checkpoint,
+// two thinned intervals, and a single region spanning the program.
+func intervalVerdicts(s Subject, cfg *mtj.Config, lopts lint.Options, runner *sim.Runner) ([]IntervalVerdict, error) {
+	var vs []IntervalVerdict
+	for _, k := range []int{1, 8, 64, len(s.Prog) + 1} {
+		lopts.CheckpointInterval = k
+		cert, err := lint.Certify(s.Prog, lopts)
+		if err != nil {
+			return nil, fmt.Errorf("fault: certifying %s at interval %d: %w", s.Workload.Name, k, err)
+		}
+		h := power.NewHarvester(power.Constant{W: chargeWatts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
+		res, err := runner.RunWithCheckpointInterval(sim.StreamFromProgram(s.Prog, s.Tiles), h, k)
+		vs = append(vs, IntervalVerdict{
+			Interval: k, Feasible: cert.Feasible, Completed: err == nil && res.Completed, Err: err,
+		})
+	}
+	return vs, nil
 }
 
 // Disagreement returns "" when the static and dynamic verdicts are
@@ -182,7 +220,10 @@ func CrossValidate(s Subject, cfg *mtj.Config, opts Options) (*CrossResult, erro
 //   - a feasible WCE certificate must complete on the capacitor, and a
 //     failed termination check must refute the certificate (the
 //     certificate may be infeasible while the run still completes —
-//     restore overhead makes it conservative — but never the reverse).
+//     restore overhead makes it conservative — but never the reverse);
+//   - the same holds at every checkpoint interval: a feasible
+//     certificate means the run completes, so a run that stops with
+//     sim.ErrNonTermination must face an infeasible certificate.
 func (r *CrossResult) Disagreement() string {
 	staticSafe := !r.Static.HasErrors()
 	dynamicSafe := r.Sweep.AllEquivalent()
@@ -198,6 +239,12 @@ func (r *CrossResult) Disagreement() string {
 	if r.Cert.Feasible && !r.SimCompleted {
 		return fmt.Sprintf("%s: WCE certificate proves every region fits the %.3g J window, but the simulated run did not complete: %v",
 			r.Name, r.Cert.WindowJ, r.SimErr)
+	}
+	for _, v := range r.Intervals {
+		if v.Feasible && !v.Completed {
+			return fmt.Sprintf("%s: at checkpoint interval %d the WCE certificate proves every region fits the window, but the run did not complete: %v",
+				r.Name, v.Interval, v.Err)
+		}
 	}
 	if !r.Term.OK && r.Cert.Feasible {
 		return fmt.Sprintf("%s: termination check finds op %d needs %.3g J > window %.3g J, but the certificate claims feasibility",

@@ -2,7 +2,9 @@ package fault
 
 import (
 	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"mouse/internal/energy"
 	"mouse/internal/lint"
@@ -96,5 +98,70 @@ func TestInfeasibleCapacitorAgreement(t *testing.T) {
 	r := &sim.Runner{Model: model, MaxChargeWait: 24 * 3600}
 	if _, err := r.Run(sim.StreamFromProgram(prog, 1), h); !errors.Is(err, sim.ErrNonTermination) {
 		t.Fatalf("simulator verdict disagrees with the certificate: err=%v", err)
+	}
+}
+
+// TestIntervalAgreementOnSmallBuffer compares the energy verdicts at
+// every checkpoint interval on a buffer sized between the arith
+// program's costliest instruction and its whole-program region: the
+// per-instruction checkpoint is certified, the single region is not,
+// and the simulator must agree — completing wherever the certificate
+// is feasible and stopping with ErrNonTermination, not hanging, where
+// it refuses.
+func TestIntervalAgreementOnSmallBuffer(t *testing.T) {
+	cfg := *mtj.ModernSTT()
+	prog, _, _, err := compiledArith(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subject := Subject{Workload: Arith(&cfg), Prog: prog, Tiles: 1, Rows: arithRows, Cols: arithCols}
+	lopts := lint.Options{
+		Geometry: lint.Geometry{Tiles: 1, Rows: arithRows, Cols: arithCols},
+		Config:   &cfg,
+	}
+	worst := func(k int) float64 {
+		lopts.CheckpointInterval = k
+		cert, err := lint.Certify(prog, lopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cert.Regions[cert.WorstRegion].WCEJ
+	}
+	windowJ := math.Sqrt(worst(1) * worst(len(prog)+1))
+	cfg.CapC = 2 * windowJ / (cfg.CapVMax*cfg.CapVMax - cfg.CapVMin*cfg.CapVMin)
+
+	model := energy.NewModel(&cfg)
+	model.RowBits = arithCols
+	runner := &sim.Runner{Model: model, MaxChargeWait: 24 * 3600}
+	var vs []IntervalVerdict
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		vs, err = intervalVerdicts(subject, &cfg, lopts, runner)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("interval runs still going after 10s: livelock")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vs {
+		if v.Err != nil && !errors.Is(v.Err, sim.ErrNonTermination) {
+			t.Fatalf("interval %d: %v", v.Interval, v.Err)
+		}
+		if v.Feasible && !v.Completed {
+			t.Errorf("interval %d: certified feasible but the run did not complete: %v", v.Interval, v.Err)
+		}
+	}
+	if first := vs[0]; !first.Feasible || !first.Completed {
+		t.Errorf("interval 1 should be certified and complete: %+v", first)
+	}
+	if last := vs[len(vs)-1]; last.Feasible || !errors.Is(last.Err, sim.ErrNonTermination) {
+		t.Errorf("interval %d should be refused by both sides: %+v", last.Interval, last)
+	}
+	for _, v := range vs {
+		t.Logf("interval %d: feasible=%v completed=%v err=%v", v.Interval, v.Feasible, v.Completed, v.Err)
 	}
 }

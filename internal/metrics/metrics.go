@@ -1,8 +1,8 @@
 // Package metrics is a zero-dependency (stdlib-only), process-local
 // metrics registry with Prometheus text-format exposition: counters,
 // gauges, and histograms with explicit bucket bounds, all updated on
-// the hot path with lock-free atomics (the same CAS-accumulator idiom
-// internal/probe uses), plus callback-backed families for values that
+// the hot path with lock-free atomics (probe.AtomicFloat, the CAS
+// accumulator probe.Stats uses), plus callback-backed families for values that
 // are snapshotted at scrape time rather than maintained eagerly.
 //
 // The registry is the live-telemetry substrate behind cmd/moused: probe
@@ -21,6 +21,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"mouse/internal/probe"
 )
 
 var (
@@ -106,51 +108,34 @@ func (r *Registry) Collect(name, kind, help string, fn func() []Sample) {
 
 // --- direct instruments --------------------------------------------------
 
-// floatBits is a float64 updated with CAS loops, mirroring
-// probe.atomicFloat so hot-path updates stay lock-free.
-type floatBits struct{ bits atomic.Uint64 }
-
-func (f *floatBits) add(v float64) {
-	for {
-		old := f.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func (f *floatBits) store(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *floatBits) load() float64   { return math.Float64frombits(f.bits.Load()) }
-
 // Counter is a monotonically increasing value.
-type Counter struct{ v floatBits }
+type Counter struct{ v probe.AtomicFloat }
 
 // Inc adds 1.
-func (c *Counter) Inc() { c.v.add(1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds v, which must be non-negative.
 func (c *Counter) Add(v float64) {
 	if v < 0 {
 		panic("metrics: counter decremented")
 	}
-	c.v.add(v)
+	c.v.Add(v)
 }
 
 // Value returns the current count.
-func (c *Counter) Value() float64 { return c.v.load() }
+func (c *Counter) Value() float64 { return c.v.Load() }
 
 // Gauge is a value that can go up and down.
-type Gauge struct{ v floatBits }
+type Gauge struct{ v probe.AtomicFloat }
 
 // Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v.store(v) }
+func (g *Gauge) Set(v float64) { g.v.Store(v) }
 
 // Add adds v (negative to subtract).
-func (g *Gauge) Add(v float64) { g.v.add(v) }
+func (g *Gauge) Add(v float64) { g.v.Add(v) }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.load() }
+func (g *Gauge) Value() float64 { return g.v.Load() }
 
 // Histogram counts observations into explicit buckets. Buckets follow
 // the Prometheus le convention: an observation lands in the first
@@ -159,7 +144,7 @@ func (g *Gauge) Value() float64 { return g.v.load() }
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1, last is +Inf
-	sum    floatBits
+	sum    probe.AtomicFloat
 	count  atomic.Uint64
 }
 
@@ -168,14 +153,14 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	h.sum.add(v)
+	h.sum.Add(v)
 }
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.load() }
+func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
 // LogBuckets returns n log10-spaced bucket bounds starting at floor:
 // floor, floor*10, ..., floor*10^(n-1). LogBuckets(1e-6, 9) reproduces

@@ -139,11 +139,11 @@ func TestMergeConcurrentWithWriters(t *testing.T) {
 	}
 }
 
-// TestAtomicFloatMinMaxConcurrent hammers one atomicFloat pair with
+// TestAtomicFloatMinMaxConcurrent hammers one AtomicFloat pair with
 // Min/Max from many goroutines; the CAS loops must converge on the
 // exact extremes regardless of interleaving.
 func TestAtomicFloatMinMaxConcurrent(t *testing.T) {
-	var lo, hi atomicFloat
+	var lo, hi AtomicFloat
 	lo.bits.Store(math.Float64bits(math.Inf(1)))
 	hi.bits.Store(math.Float64bits(math.Inf(-1)))
 	const workers = 8

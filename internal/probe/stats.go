@@ -27,11 +27,13 @@ const histBuckets = 10
 // histFloor is the lower edge of the first bucket in seconds (1µs).
 const histFloor = 1e-6
 
-// atomicFloat is a float64 accumulated with a compare-and-swap loop so
-// Stats stays lock-free under the sweep engine's worker pool.
-type atomicFloat struct{ bits atomic.Uint64 }
+// AtomicFloat is a float64 accumulated with a compare-and-swap loop so
+// Stats (and the metrics registry's instruments) stay lock-free under
+// concurrent updates. The zero value is 0.
+type AtomicFloat struct{ bits atomic.Uint64 }
 
-func (f *atomicFloat) Add(v float64) {
+// Add adds v.
+func (f *AtomicFloat) Add(v float64) {
 	for {
 		old := f.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -41,10 +43,14 @@ func (f *atomicFloat) Add(v float64) {
 	}
 }
 
-func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
+// Load returns the current value.
+func (f *AtomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
+
+// Store replaces the value.
+func (f *AtomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
 
 // Max raises the stored value to v if v is larger.
-func (f *atomicFloat) Max(v float64) {
+func (f *AtomicFloat) Max(v float64) {
 	for {
 		old := f.bits.Load()
 		if math.Float64frombits(old) >= v {
@@ -57,7 +63,7 @@ func (f *atomicFloat) Max(v float64) {
 }
 
 // Min lowers the stored value to v if v is smaller.
-func (f *atomicFloat) Min(v float64) {
+func (f *AtomicFloat) Min(v float64) {
 	for {
 		old := f.bits.Load()
 		if math.Float64frombits(old) <= v {
@@ -83,19 +89,19 @@ type Stats struct {
 
 	byKind [maxKinds]atomic.Uint64
 
-	computeEnergy atomicFloat
-	backupEnergy  atomicFloat
-	restoreEnergy atomicFloat
-	lostEnergy    atomicFloat
-	replayEnergy  atomicFloat
-	outageSecs    atomicFloat
-	busySecs      atomicFloat
-	restoreSecs   atomicFloat
+	computeEnergy AtomicFloat
+	backupEnergy  AtomicFloat
+	restoreEnergy AtomicFloat
+	lostEnergy    AtomicFloat
+	replayEnergy  AtomicFloat
+	outageSecs    AtomicFloat
+	busySecs      AtomicFloat
+	restoreSecs   AtomicFloat
 
 	outageHist [histBuckets]atomic.Uint64
 
-	voltMin atomicFloat
-	voltMax atomicFloat
+	voltMin AtomicFloat
+	voltMax AtomicFloat
 
 	tileWrites [maxTrackedTiles]atomic.Uint64
 	tileBits   [maxTrackedTiles]atomic.Uint64

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"mouse/internal/energy"
 	"mouse/internal/isa"
@@ -89,23 +91,43 @@ func TestMaxParallelColumns(t *testing.T) {
 	}
 }
 
+// nandStream is ModernSTT's checkpoint-interval workload: an ACT over
+// 8192 columns, then NAND2s over 8192 pairs, n ops in all. One discharge
+// window at 60 µW holds about 1229 of them.
+func nandStream(n int) *SliceStream {
+	ops := make([]energy.Op, n)
+	for i := range ops {
+		ops[i] = energy.Op{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 8192}
+	}
+	ops[0] = energy.Op{Kind: isa.KindAct, ActCols: 8192}
+	return &SliceStream{Ops: ops}
+}
+
+// withDeadline runs f and fails the test if it has not returned within
+// d, so a livelock fails the test instead of timing out the package.
+func withDeadline(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("still running after %v: livelock", d)
+	}
+}
+
 func TestCheckpointIntervalTradeoff(t *testing.T) {
 	// Section IV-D: rarer checkpoints mean less backup energy but more
 	// dead (re-performed) work.
 	cfg := mtj.ModernSTT()
 	m := energy.NewModel(cfg)
 	r := NewRunner(m)
-	mk := func() *SliceStream {
-		ops := make([]energy.Op, 3000)
-		for i := range ops {
-			ops[i] = energy.Op{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 8192}
-		}
-		ops[0] = energy.Op{Kind: isa.KindAct, ActCols: 8192}
-		return &SliceStream{Ops: ops}
-	}
 	var prevBackup, prevDead float64
 	for i, interval := range []int{1, 8, 64} {
-		res, err := r.RunWithCheckpointInterval(mk(), harvester(cfg, 60e-6), interval)
+		res, err := r.RunWithCheckpointInterval(nandStream(3000), harvester(cfg, 60e-6), interval)
 		if err != nil {
 			t.Fatalf("interval %d: %v", interval, err)
 		}
@@ -124,25 +146,24 @@ func TestCheckpointIntervalTradeoff(t *testing.T) {
 	}
 }
 
-func TestCheckpointIntervalOneMatchesRun(t *testing.T) {
-	cfg := mtj.ProjectedSTT()
-	m := energy.NewModel(cfg)
-	r := NewRunner(m)
-	a, err := r.Run(&SliceStream{Ops: opsFixture(500)}, harvester(cfg, 60e-6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.RunWithCheckpointInterval(&SliceStream{Ops: opsFixture(500)}, harvester(cfg, 60e-6), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Instructions != b.Instructions {
-		t.Errorf("instruction counts differ: %d vs %d", a.Instructions, b.Instructions)
-	}
-	// Compute energy must agree exactly; backup may differ slightly
-	// because interval mode prices every checkpoint as a plain-PC commit.
-	if diff := a.ComputeEnergy - b.ComputeEnergy; diff > 1e-15 || diff < -1e-15 {
-		t.Errorf("compute energy differs: %g vs %g", a.ComputeEnergy, b.ComputeEnergy)
+// TestCheckpointIntervalBeyondWindow: a region longer than one
+// discharge window can never commit, so the run must stop with
+// ErrNonTermination instead of replaying the region forever.
+func TestCheckpointIntervalBeyondWindow(t *testing.T) {
+	cfg := mtj.ModernSTT()
+	r := NewRunner(energy.NewModel(cfg))
+	for _, interval := range []int{1300, 2000} {
+		var res Result
+		var err error
+		withDeadline(t, 10*time.Second, func() {
+			res, err = r.RunWithCheckpointInterval(nandStream(3000), harvester(cfg, 60e-6), interval)
+		})
+		if !errors.Is(err, ErrNonTermination) {
+			t.Errorf("interval %d: got %v, want ErrNonTermination", interval, err)
+		}
+		if res.Completed {
+			t.Errorf("interval %d: aborted run marked completed", interval)
+		}
 	}
 }
 

@@ -312,8 +312,20 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 			})
 		}
 
-		if e > window+h.Src.Power(h.Now())*dt {
-			return Result{Breakdown: b, Replays: replays}, fmt.Errorf("%w (instruction needs %.3g J, window holds %.3g J)", ErrNonTermination, e, window)
+		// The reboot restores the column latches from the stored ACT;
+		// the retry can never commit if that restore plus the
+		// instruction, net of harvest, outruns one window.
+		restoreCols := 0
+		if act, ok := r.C.NV.Act(); ok {
+			restoreCols = len(act.ActiveColumns())
+			if act.Broadcast {
+				restoreCols *= len(r.C.Machine().Tiles)
+			}
+		}
+		re := r.Model.Restore(restoreCols)
+		hc := h.Src.Power(h.Now()) * dt
+		if need := drain(re, hc) + drain(e, hc); need > window {
+			return Result{Breakdown: b, Replays: replays}, nonTermination(need, window)
 		}
 
 		r.C.PowerFail()
@@ -329,15 +341,7 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 			r.Obs.OutageEnd(h.Now(), off)
 		}
 
-		// Reboot: restore the column latches from the stored ACT.
-		restoreCols := 0
-		if act, ok := r.C.NV.Act(); ok {
-			restoreCols = len(act.ActiveColumns())
-			if act.Broadcast {
-				restoreCols *= len(r.C.Machine().Tiles)
-			}
-		}
-		re := r.Model.Restore(restoreCols)
+		// Reboot: pay the restore priced above.
 		var spentE, spentT float64
 		for {
 			reFrac := h.Draw(dt, re)

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"mouse/internal/array"
 	"mouse/internal/controller"
+	"mouse/internal/energy"
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
 	"mouse/internal/power"
@@ -149,6 +153,30 @@ func TestMachineRunnerNonTermination(t *testing.T) {
 	h := power.NewHarvester(power.Constant{W: 1e-9}, 1e-12, cfg.CapVMin, cfg.CapVMax)
 	if _, err := r.Run(h); err == nil {
 		t.Fatalf("expected non-termination or charge failure")
+	}
+}
+
+// TestMachineRunnerRestoreGap: the second ACT fits one discharge
+// window on its own but not the window left after the restore that
+// precedes its retry, so the functional layer must stop instead of
+// retrying forever.
+func TestMachineRunnerRestoreGap(t *testing.T) {
+	cfg := mtj.ModernSTT()
+	act := isa.ActRange(true, 0, 0, 8, 1)
+	c := controller.New(controller.ProgramStore(isa.Program{act, act}), array.NewMachine(cfg, 2, 16, 8))
+	r := NewMachineRunner(c)
+	op := energy.OpOf(act, 16, 16)
+	gapJ := r.Model.Energy(op) + r.Model.Backup(op) + r.Model.Restore(16)/2
+	vOn := math.Sqrt(2*gapJ/cfg.CapC + cfg.CapVMin*cfg.CapVMin)
+	h := power.NewHarvester(power.Constant{W: 0.1e-6}, cfg.CapC, cfg.CapVMin, vOn)
+	var res Result
+	var err error
+	withDeadline(t, 10*time.Second, func() { res, err = r.Run(h) })
+	if !errors.Is(err, ErrNonTermination) {
+		t.Fatalf("got %v, want ErrNonTermination", err)
+	}
+	if res.Instructions != 1 || res.Restarts != 1 {
+		t.Errorf("stopped after %d instructions and %d restarts, want the first ACT retired and one outage on the second", res.Instructions, res.Restarts)
 	}
 }
 

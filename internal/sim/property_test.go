@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"mouse/internal/energy"
 	"mouse/internal/isa"
@@ -73,19 +74,36 @@ func TestEnergyConservationProperty(t *testing.T) {
 }
 
 // TestEnergyConservationCheckpointed extends the conservation invariant
-// to the relaxed-checkpointing runner, whose rollback-replay accounting
-// is easy to get wrong.
+// to checkpoint intervals, whose rollback-replay accounting is easy to
+// get wrong. The buffer is a sixteenth of ModernSTT's, so one discharge
+// window holds a few hundred of these ops: every run sees outages, and
+// the longer intervals exceed one window, so those runs must stop with
+// ErrNonTermination rather than replay forever. Every run keeps at most
+// interval replays per outage.
 func TestEnergyConservationCheckpointed(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cfg := mtj.ModernSTT()
-	for _, interval := range []int{1, 8, 64} {
+	for _, interval := range []int{1, 8, 64, 1300, 4096} {
 		watts := 60e-6
 		ops := randomOps(rng, 600)
 		r := NewRunner(energy.NewModel(cfg))
-		h := power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-		res, err := r.RunWithCheckpointInterval(&SliceStream{Ops: ops}, h, interval)
+		h := power.NewHarvester(power.Constant{W: watts}, cfg.CapC/16, cfg.CapVMin, cfg.CapVMax)
+		var res Result
+		var err error
+		withDeadline(t, 10*time.Second, func() {
+			res, err = r.RunWithCheckpointInterval(&SliceStream{Ops: ops}, h, interval)
+		})
 		if err != nil && !errors.Is(err, ErrNonTermination) {
 			t.Fatalf("interval %d: %v", interval, err)
+		}
+		if res.Restarts == 0 {
+			t.Errorf("interval %d: no outages, so nothing was replayed", interval)
+		}
+		if err == nil && (!res.Completed || res.Instructions != uint64(len(ops))) {
+			t.Errorf("interval %d: error-free run retired %d of %d instructions", interval, res.Instructions, len(ops))
+		}
+		if res.Replays > res.Restarts*uint64(interval) {
+			t.Errorf("interval %d: %d replays exceed %d restarts times the interval", interval, res.Replays, res.Restarts)
 		}
 		harvested := watts * h.Now()
 		if consumed := res.TotalEnergy(); consumed > harvested*(1+1e-9)+1e-15 {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"mouse/internal/energy"
@@ -104,7 +103,6 @@ type segLane struct {
 	dt         float64 // Model.CycleTime()
 	harvest    float64 // p.W*dt: h.Src.Power(t)*dt, t-independent
 	window     float64 // p.WindowJ: the stepping path's h.WindowEnergy()
-	stall      float64 // window+harvest: non-termination budget, stepping's association
 	budgetVMax float64 // the stepping budget whenever the buffer sits at VMax
 
 	// Stream position: runs[ri], used instructions retired from it.
@@ -118,7 +116,6 @@ type segLane struct {
 	lv        int
 	actCols   int
 	isAct     bool
-	canStall  bool // e > stall precomputed: stepping's comparison, hoisted
 	pinned    bool // VMax is a fixed point of this run's draw
 
 	// Machine state.
@@ -156,7 +153,6 @@ func newSegLane(r *Runner, h *power.Harvester, p power.ConstantPlan, costs *ener
 		r: r, h: h, p: p, costs: costs,
 		dt: dt, harvest: harvest,
 		window:      p.WindowJ,
-		stall:       p.WindowJ + harvest,
 		budgetVMax:  power.EnergyAboveOf(p.C, p.VMax, p.VOff) + harvest,
 		v:           h.Cap.Voltage(),
 		cache:       make(map[segKey]segWindow),
@@ -191,7 +187,6 @@ func (ls *segLane) enterRun() {
 	ls.lv = ls.costs.Level[ls.ri]
 	ls.isAct = run.Op.Kind == isa.KindAct
 	ls.actCols = run.Op.ActCols
-	ls.canStall = ls.e > ls.stall
 	// Pinned-state detection: when the buffer sits exactly at VMax and
 	// this run's instruction both fits the VMax budget and leaves the
 	// post-draw voltage at or above VMax (so the clamp writes back
@@ -312,8 +307,16 @@ func (ls *segLane) stepOutage() bool {
 		ls.acc.OnLatency += ls.dt * frac
 		ls.acc.Restarts++
 
-		if ls.canStall {
-			ls.finish(fmt.Errorf("%w (instruction needs %.3g J, window holds %.3g J)", ErrNonTermination, ls.e, ls.window), false)
+		// The stepping path's non-termination test at k = 1: the
+		// restore plus this instruction, net of harvest, against the
+		// window.
+		rc, ok := ls.restoreCost[ls.cols]
+		if !ok {
+			rc = ls.r.Model.Restore(ls.cols)
+			ls.restoreCost[ls.cols] = rc
+		}
+		if need := drain(rc, ls.harvest) + drain(ls.e, ls.harvest); need > ls.window {
+			ls.finish(nonTermination(need, ls.window), false)
 			return false
 		}
 
@@ -324,11 +327,6 @@ func (ls *segLane) stepOutage() bool {
 
 		// r.restore, inlined: pay the re-activation cost, recharging
 		// through any further outages.
-		rc, ok := ls.restoreCost[ls.cols]
-		if !ok {
-			rc = ls.r.Model.Restore(ls.cols)
-			ls.restoreCost[ls.cols] = rc
-		}
 		for {
 			budget := power.EnergyAboveOf(ls.p.C, ls.v, ls.p.VOff) + ls.harvest
 			var rfrac float64

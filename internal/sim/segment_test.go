@@ -2,8 +2,10 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"mouse/internal/energy"
 	"mouse/internal/isa"
@@ -150,29 +152,56 @@ func TestSegmentFinalVoltageMatchesStepping(t *testing.T) {
 	}
 }
 
-// TestSegmentNonTerminationParity: an instruction larger than the full
-// window budget must abort both engines with the identical error text
-// and identical partial accounting.
+// TestSegmentNonTerminationParity: an instruction that can never
+// commit must abort both engines with the identical error text and
+// identical partial accounting. The restore-gap case fits one window on
+// its own, but not the window left after the restore that precedes its
+// retry.
 func TestSegmentNonTerminationParity(t *testing.T) {
 	cfg := mtj.ModernSTT()
-	// A tiny buffer whose window cannot pay for a wide logic op.
-	mk := func() *power.Harvester {
-		return power.NewHarvester(power.Constant{W: 10e-6}, 1e-9, cfg.CapVMin, cfg.CapVMax)
-	}
-	ops := []energy.Op{
-		{Kind: isa.KindAct, ActCols: 8},
-		{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 2048},
+	m := energy.NewModel(cfg)
+	nand := energy.Op{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 8192}
+	gapJ := m.Energy(nand) + m.Backup(nand) + m.Restore(8192)/2
+	gapVOn := math.Sqrt(2*gapJ/cfg.CapC + cfg.CapVMin*cfg.CapVMin)
+	cases := []struct {
+		name string
+		ops  []energy.Op
+		mk   func() *power.Harvester
+	}{
+		{
+			// A tiny buffer whose window cannot pay for a wide logic op.
+			name: "oversized instruction",
+			ops: []energy.Op{
+				{Kind: isa.KindAct, ActCols: 8},
+				{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 2048},
+			},
+			mk: func() *power.Harvester {
+				return power.NewHarvester(power.Constant{W: 10e-6}, 1e-9, cfg.CapVMin, cfg.CapVMax)
+			},
+		},
+		{
+			name: "restore gap",
+			ops:  []energy.Op{{Kind: isa.KindAct, ActCols: 8192}, nand},
+			mk: func() *power.Harvester {
+				return power.NewHarvester(power.Constant{W: 0.1e-6}, cfg.CapC, cfg.CapVMin, gapVOn)
+			},
+		},
 	}
 	r := NewRunner(energy.NewModel(cfg))
-
-	seg, segErr := r.Run(&SliceStream{Ops: ops}, mk())
-	step, stepErr := steppingResult(t, r, ops, mk)
-	if !errors.Is(segErr, ErrNonTermination) {
-		t.Fatalf("segment did not detect non-termination: %v", segErr)
-	}
-	requireIdentical(t, "non-termination", seg, step, segErr, stepErr)
-	if seg.Completed {
-		t.Error("aborted run marked completed")
+	for _, c := range cases {
+		var seg, step Result
+		var segErr, stepErr error
+		withDeadline(t, 10*time.Second, func() {
+			seg, segErr = r.Run(&SliceStream{Ops: c.ops}, c.mk())
+			step, stepErr = steppingResult(t, r, c.ops, c.mk)
+		})
+		if !errors.Is(segErr, ErrNonTermination) {
+			t.Fatalf("%s: segment did not detect non-termination: %v", c.name, segErr)
+		}
+		requireIdentical(t, c.name, seg, step, segErr, stepErr)
+		if seg.Completed {
+			t.Errorf("%s: aborted run marked completed", c.name)
+		}
 	}
 }
 

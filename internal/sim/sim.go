@@ -11,6 +11,11 @@
 //   - The trace layer (Run/RunContinuous) consumes an OpStream of
 //     (instruction kind, activity) events — this is how the paper-scale
 //     benchmarks execute, mirroring the authors' analytic R simulator.
+//     One stepping loop serves Run and RunWithCheckpointInterval (the
+//     §IV-D ablation, where an outage re-performs every instruction
+//     since the last checkpoint); the analytic segment engine
+//     (segment.go) is Run's bit-identical fast path for constant
+//     sources.
 //   - The functional layer (MachineRunner) drives a real
 //     controller.Controller over a bit-accurate array.Machine, injecting
 //     outages at the exact µ-phase the energy ran out, so small end-to-end
@@ -23,6 +28,11 @@
 // each restart's column re-activation is Restore energy and latency. Off
 // latency is recharge waiting time, including the initial charge from an
 // empty buffer.
+//
+// Forward progress: every run either completes, with at most one replay
+// per outage at interval 1 (at most interval replays per outage in
+// general), or stops with ErrNonTermination once the restore plus the
+// checkpoint region it must replay cannot fit one discharge window.
 package sim
 
 import (
@@ -87,11 +97,13 @@ func (s *SliceStream) Runs() []energy.OpRun {
 	return runs
 }
 
-// ErrNonTermination reports that a single instruction needs more energy
-// than one full buffer discharge plus concurrent harvest can supply, so
-// the program can never make forward progress (the intermittent-computing
-// non-termination hazard of Section I).
-var ErrNonTermination = errors.New("sim: non-termination: an instruction exceeds the energy buffer's budget")
+// ErrNonTermination reports that the program can never make forward
+// progress (the intermittent-computing non-termination hazard of
+// Section I): the restore plus the checkpoint region it replays — one
+// instruction at interval 1 — need more energy than one full buffer
+// discharge plus the concurrent harvest can supply. lint.Certify
+// applies the same per-region test statically, without the harvest.
+var ErrNonTermination = errors.New("sim: non-termination: a checkpoint region exceeds the energy buffer's budget")
 
 // ErrBadInterval reports a checkpoint interval below 1, which has no
 // protocol meaning (there is no such thing as committing more than once
@@ -178,13 +190,75 @@ func (r *Runner) RunContinuous(s OpStream) Result {
 // produces a bit-identical Result without stepping the harvester.
 // Trace/solar sources, attached observers, and ForceStepping keep the
 // per-instruction path.
-func (r *Runner) Run(s OpStream, h *power.Harvester) (res Result, err error) {
+func (r *Runner) Run(s OpStream, h *power.Harvester) (Result, error) {
 	if rs, ok := s.(RunStream); ok && !r.ForceStepping && h != nil &&
 		!probe.Enabled(r.Obs) && !h.SamplingEnabled() {
 		if plan, ok := h.Plan(); ok {
 			return r.runSegments(rs, h, plan)
 		}
 	}
+	return r.step(s, h, 1)
+}
+
+// RunWithCheckpointInterval executes the stream under harvester h, but
+// commits the architectural checkpoint (PC write + parity flip) only
+// every interval instructions, exploring the trade-off Section IV-D
+// discusses: "doing so more often results in less work potentially lost
+// on shut-down, however this also increases the checkpointing overhead...
+// it is possible that MOUSE would be more energy efficient performing
+// checkpointing less often."
+//
+// The last instruction of each interval-instruction region pays its
+// Backup in the same draw as its energy; the others pay none. An outage
+// rolls execution back to the last checkpoint: the region is
+// re-performed from its start as Dead work (each further outage restarts
+// that re-run), then the interrupted instruction is retried. This is
+// correct only because the re-executed region re-issues its own preset
+// writes, which our instruction streams carry explicitly (the paper's
+// "additional presetting operations"). A region that cannot complete in
+// one discharge window fails with ErrNonTermination, under the same
+// inequality lint.Certify applies statically.
+//
+// interval = 1 is MOUSE's per-instruction checkpointing and returns
+// exactly Run's Result; longer intervals always take the stepping path.
+func (r *Runner) RunWithCheckpointInterval(s OpStream, h *power.Harvester, interval int) (Result, error) {
+	if interval == 1 {
+		return r.Run(s, h)
+	}
+	if interval < 1 {
+		return Result{}, fmt.Errorf("%w (got %d)", ErrBadInterval, interval)
+	}
+	return r.step(s, h, interval)
+}
+
+// regionOp is an instruction committed since the last checkpoint, with
+// the energy its replay draws (compute only: the region's last
+// instruction, the only one that pays Backup, commits the checkpoint).
+type regionOp struct {
+	op energy.Op
+	e  float64
+}
+
+// drain is the part of a cycle's cost c that the cycle's own harvest hc
+// cannot pay. A surplus is not banked: the buffer may sit at VMax,
+// where the clamp discards it.
+func drain(c, hc float64) float64 {
+	if hc >= c {
+		return 0
+	}
+	return c - hc
+}
+
+// nonTermination is the error for an attempt that can never finish: the
+// restore plus the region through the interrupted instruction, net of
+// harvest, need more than one full discharge window.
+func nonTermination(need, window float64) error {
+	return fmt.Errorf("%w (restore plus region need %.3g J net of harvest, window holds %.3g J)", ErrNonTermination, need, window)
+}
+
+// step is the per-instruction intermittent loop behind Run (k = 1) and
+// RunWithCheckpointInterval (checkpoint every k instructions).
+func (r *Runner) step(s OpStream, h *power.Harvester, k int) (res Result, err error) {
 	// A stream left mid-position by a previous failed run (for example
 	// after ErrNonTermination) must not silently execute only a suffix
 	// on reuse: every run starts from the beginning, and a failed run
@@ -206,6 +280,10 @@ func (r *Runner) Run(s OpStream, h *power.Harvester) (res Result, err error) {
 		acc = energy.Breakdown{}
 	}
 	var replays uint64
+	fail := func(err error) (Result, error) {
+		flush()
+		return Result{Breakdown: b, Replays: replays}, err
+	}
 	dt := r.Model.CycleTime()
 	window := 0.0 // non-termination budget, invariant across outages
 	if h.Cap != nil {
@@ -214,6 +292,9 @@ func (r *Runner) Run(s OpStream, h *power.Harvester) (res Result, err error) {
 	lastLevel := 0
 	activeCols := 0 // columns the most recent ACT latched
 	active := probe.Enabled(r.Obs)
+	// The instructions committed since the last checkpoint; always empty
+	// at k = 1. An outage re-performs all of them.
+	var region []regionOp
 
 	// Initial charge from an empty (or partial) buffer.
 	if active {
@@ -221,11 +302,53 @@ func (r *Runner) Run(s OpStream, h *power.Harvester) (res Result, err error) {
 	}
 	off, err := h.ChargeUntilOn(r.MaxChargeWait)
 	if err != nil {
-		return Result{Breakdown: b, Replays: replays}, err
+		return fail(err)
 	}
 	b.OffLatency += off
 	if active {
 		r.Obs.OutageEnd(h.Now(), off)
+	}
+
+	// outage handles a power failure that cut a draw of c joules at
+	// fraction frac: the partial work is Dead. Unless the restore plus
+	// the region through the pending instruction (pend joules) can never
+	// fit one discharge window, it recharges and restores the active
+	// columns, which closes the accounting window.
+	outage := func(kind isa.Kind, c, frac, pend float64) error {
+		acc.DeadEnergy += c * frac
+		acc.DeadLatency += dt * frac
+		acc.OnLatency += dt * frac
+		acc.Restarts++
+		if active {
+			r.Obs.PulseInterrupted(probe.Interrupt{
+				T: h.Now(), Frac: frac, Kind: kind, Lost: c * frac,
+			})
+		}
+		rc := r.Model.Restore(activeCols)
+		hc := h.Src.Power(h.Now()) * dt
+		need := drain(rc, hc) + drain(pend, hc)
+		for _, p := range region {
+			need += drain(p.e, hc)
+		}
+		if need > window {
+			return nonTermination(need, window)
+		}
+		if active {
+			r.Obs.OutageBegin(h.Now())
+		}
+		off, err := h.ChargeUntilOn(r.MaxChargeWait)
+		if err != nil {
+			return err
+		}
+		acc.OffLatency += off
+		if active {
+			r.Obs.OutageEnd(h.Now(), off)
+		}
+		if err := r.restore(h, rc, activeCols, dt, &acc); err != nil {
+			return err
+		}
+		flush()
+		return nil
 	}
 
 	for {
@@ -233,10 +356,13 @@ func (r *Runner) Run(s OpStream, h *power.Harvester) (res Result, err error) {
 		if !ok {
 			break
 		}
-		// Price the instruction once per attempt loop; the stepping path
-		// previously recomputed Energy/Backup up to three times per
-		// retired instruction.
-		ec, bk := r.Model.Energy(op), r.Model.Backup(op)
+		// Price the instruction once per attempt loop. The region's last
+		// instruction pays the checkpoint (its Backup) in the same draw.
+		last := len(region)+1 == k
+		ec, bk := r.Model.Energy(op), 0.0
+		if last {
+			bk = r.Model.Backup(op)
+		}
 		e := ec + bk
 		// Attempt until the instruction commits. Per the paper's EH-model
 		// accounting, the re-execution of an interrupted instruction is
@@ -267,43 +393,35 @@ func (r *Runner) Run(s OpStream, h *power.Harvester) (res Result, err error) {
 				break
 			}
 			retry = true
-			// Outage mid-instruction: the partial work is Dead.
-			acc.DeadEnergy += e * frac
-			acc.DeadLatency += dt * frac
-			acc.OnLatency += dt * frac
-			acc.Restarts++
-			if active {
-				r.Obs.PulseInterrupted(probe.Interrupt{
-					T: h.Now(), Frac: frac, Kind: op.Kind, Lost: e * frac,
-				})
+			if err := outage(op.Kind, e, frac, e); err != nil {
+				return fail(err)
 			}
-
-			// Detect non-termination: even a full window plus one
-			// cycle's harvest cannot pay for this instruction.
-			if e > window+h.Src.Power(h.Now())*dt {
-				flush()
-				return Result{Breakdown: b, Replays: replays}, fmt.Errorf("%w (instruction needs %.3g J, window holds %.3g J)", ErrNonTermination, e, window)
+			// Roll back to the checkpoint: re-perform the region as Dead
+			// work; an outage restarts the re-run.
+			for i := 0; i < len(region); {
+				p := region[i]
+				if f := h.Draw(dt, p.e); f < 1 {
+					if err := outage(p.op.Kind, p.e, f, e); err != nil {
+						return fail(err)
+					}
+					i = 0
+					continue
+				}
+				acc.DeadEnergy += p.e
+				acc.DeadLatency += dt
+				acc.OnLatency += dt
+				replays++
+				if active {
+					r.Obs.InstrRetired(probe.Instr{
+						T: h.Now(), Dur: dt, Kind: p.op.Kind, Gate: p.op.Gate,
+						Tile: -1, Energy: p.e, Replay: true,
+					})
+				}
+				if p.op.Kind == isa.KindAct {
+					activeCols = p.op.ActCols
+				}
+				i++
 			}
-
-			// Recharge, then restore the active columns.
-			if active {
-				r.Obs.OutageBegin(h.Now())
-			}
-			off, err := h.ChargeUntilOn(r.MaxChargeWait)
-			if err != nil {
-				flush()
-				return Result{Breakdown: b, Replays: replays}, err
-			}
-			acc.OffLatency += off
-			if active {
-				r.Obs.OutageEnd(h.Now(), off)
-			}
-			if err := r.restore(h, activeCols, dt, &acc); err != nil {
-				flush()
-				return Result{Breakdown: b, Replays: replays}, err
-			}
-			// Restore complete: the window closes here.
-			flush()
 		}
 		if op.Kind == isa.KindAct {
 			activeCols = op.ActCols
@@ -312,28 +430,33 @@ func (r *Runner) Run(s OpStream, h *power.Harvester) (res Result, err error) {
 			acc.LevelSwitches++
 			lastLevel = lv
 		}
+		if last {
+			region = region[:0]
+		} else {
+			region = append(region, regionOp{op, ec})
+		}
 	}
 	flush()
 	return Result{Breakdown: b, Replays: replays, Completed: true}, nil
 }
 
-// restore pays the restart cost (re-issuing the stored ACT instruction);
-// if even that triggers another outage, it recharges and retries.
-func (r *Runner) restore(h *power.Harvester, activeCols int, dt float64, b *energy.Breakdown) error {
-	e := r.Model.Restore(activeCols)
+// restore pays the restart cost rc of re-latching cols columns
+// (re-issuing the stored ACT instruction); if even that triggers another
+// outage, it recharges and retries.
+func (r *Runner) restore(h *power.Harvester, rc float64, cols int, dt float64, b *energy.Breakdown) error {
 	active := probe.Enabled(r.Obs)
 	var spentE, spentT float64
 	for {
-		frac := h.Draw(dt, e)
-		b.RestoreEnergy += e * frac
+		frac := h.Draw(dt, rc)
+		b.RestoreEnergy += rc * frac
 		b.RestoreLatency += dt * frac
 		b.OnLatency += dt * frac
-		spentE += e * frac
+		spentE += rc * frac
 		spentT += dt * frac
 		if frac >= 1 {
 			if active {
 				r.Obs.Restored(probe.Restore{
-					T: h.Now(), Dur: spentT, Cols: activeCols, Energy: spentE,
+					T: h.Now(), Dur: spentT, Cols: cols, Energy: spentE,
 				})
 			}
 			return nil
