@@ -48,7 +48,7 @@ func TestInferMatchesOfflineBatch(t *testing.T) {
 	cfg.HarvestW = 0.5 // µs-scale stalls: exercise the outage path, keep the test fast
 	cfg.EnergyPerSampleJ = 1e-6
 	cfg.BatchLinger = 200 * time.Microsecond
-	s, err := newServer(1, 1, cfg)
+	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestInferMatchesOfflineBatch(t *testing.T) {
 
 // TestInferEndpointValidation maps client mistakes to HTTP statuses.
 func TestInferEndpointValidation(t *testing.T) {
-	s := newTestServer(t, 1, 1)
+	s := newTestServer(t)
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
@@ -182,7 +182,7 @@ func TestInferBackpressure429(t *testing.T) {
 	cfg.HarvestW = 1e-9      // effectively never recharges
 	cfg.EnergyPerSampleJ = 1 // first batch stalls its device forever
 	cfg.Workloads = []string{"bnn-hidden16"}
-	s, err := newServer(1, 1, cfg)
+	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

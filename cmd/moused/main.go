@@ -1,47 +1,37 @@
-// moused is the repo's long-running serving process: it executes a
-// configurable stream of mousebench experiments on simulated devices,
-// serves classification requests against a fleet of energy-harvesting
-// MOUSE devices, and exposes live telemetry about both over HTTP.
+// moused is the repo's serving process: it serves classification
+// requests against a fleet of energy-harvesting MOUSE devices and
+// exposes live telemetry about that fleet over HTTP.
 //
 // Endpoints:
 //
 //	/metrics        Prometheus text exposition (version 0.0.4): the
-//	                merged view of every probe shard — job-stream
-//	                devices and inference-fleet devices — under
-//	                mouse_probe_*, plus moused_* run/job metrics and
-//	                the fleet's queue/charge/latency families
+//	                merged view of every fleet device's probe shard
+//	                under mouse_probe_*, plus the moused_infer_* request
+//	                and moused_fleet_* queue/charge/batch families
 //	/v1/infer       POST a JSON sample batch, get predictions; requests
 //	                are coalesced into bit-sliced batches and placed on
 //	                the most-charged device (429 + Retry-After under
 //	                overload)
 //	/v1/workloads   served workloads and their batch geometry
 //	/healthz        liveness probe, always "ok" while serving
-//	/runs           recent experiment runs as indented JSON
 //	/debug/pprof/   standard Go profiling handlers
 //
 // Usage:
 //
-//	moused [-addr HOST:PORT] [-addr-file FILE] [-experiments CSV]
-//	       [-devices N] [-parallel N] [-repeat N] [-interval DUR]
+//	moused [-addr HOST:PORT] [-addr-file FILE]
 //	       [-fleet-devices N] [-fleet-power continuous|harvested]
 //	       [-fleet-queue N] [-fleet-linger DUR] [-fleet-harvest W]
 //
 // -addr defaults to 127.0.0.1:0 (an OS-assigned port); the bound
 // address is printed on stdout and, with -addr-file, written to a file
-// so scripts can discover it race-free. -experiments names the job
-// stream (mousebench registry names, default "table2,table3,checkpoint"
-// — the checkpoint sweep actually simulates, so the probe families are
-// live out of the box); "all" composed with named experiments collapses
-// to "all", and repeats are deduped.
-// -devices spreads jobs round-robin over N independent telemetry
-// shards; -repeat bounds the passes over the stream (0 = run until
-// terminated) and -interval paces consecutive jobs. The -fleet-* flags
-// size the inference fleet (see internal/fleet): device count, power
-// mode, admission-queue depth, batching deadline, and per-device
-// harvest rate. The server keeps serving after a finite stream
-// completes; SIGINT/SIGTERM shut it down.
+// so scripts can discover it race-free. The -fleet-* flags size the
+// inference fleet (see internal/fleet): device count, power mode,
+// admission-queue depth, batching deadline, and per-device harvest
+// rate. SIGINT/SIGTERM shut the server down.
 //
-// See EXPERIMENTS.md for scrape and inference walkthroughs with curl.
+// Experiment telemetry is not served here: run `mousebench -telemetry`
+// or `mousetrace -stats`. See EXPERIMENTS.md for scrape and inference
+// walkthroughs with curl.
 package main
 
 import (
@@ -52,23 +42,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"mouse/internal/bench"
 	"mouse/internal/fleet"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address (port 0 = OS-assigned)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
-	experiments := flag.String("experiments", "table2,table3,checkpoint", "comma-separated experiment job stream")
-	devices := flag.Int("devices", 1, "simulated devices to spread jobs over")
-	parallel := flag.Int("parallel", 0, "sweep worker bound per job; 0 means one per CPU")
-	repeat := flag.Int("repeat", 1, "passes over the experiment stream (0 = repeat until terminated)")
-	interval := flag.Duration("interval", 0, "pause between consecutive jobs")
 	defFleet := fleet.DefaultConfig()
 	fleetDevices := flag.Int("fleet-devices", defFleet.Devices, "inference fleet device count")
 	fleetPower := flag.String("fleet-power", string(defFleet.Mode), "fleet power mode: continuous or harvested")
@@ -86,60 +68,15 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := serve(ctx, *addr, *addrFile, *experiments, *devices, *parallel, *repeat, *interval, fcfg); err != nil {
+	if err := serve(ctx, *addr, *addrFile, fcfg); err != nil {
 		fmt.Fprintln(os.Stderr, "moused:", err)
 		os.Exit(1)
 	}
 }
 
-// parseExperiments splits and validates the -experiments list against
-// the mousebench registry. "all" already runs the full suite, so "all"
-// composed with named experiments collapses to just "all" (otherwise
-// every pass would run those jobs twice), and exact repeats are deduped
-// — but only after every name validates, so a typo next to "all" still
-// errors.
-func parseExperiments(csv string) ([]string, error) {
-	known := map[string]bool{"all": true}
-	for _, e := range bench.Experiments() {
-		known[e.Name] = true
-	}
-	seen := map[string]bool{}
-	var names []string
-	all := false
-	for _, name := range strings.Split(csv, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if !known[name] {
-			return nil, fmt.Errorf("unknown experiment %q", name)
-		}
-		if name == "all" {
-			all = true
-		}
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		names = append(names, name)
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("empty experiment list")
-	}
-	if all {
-		return []string{"all"}, nil
-	}
-	return names, nil
-}
-
 // serve binds the listener, builds the server (including its inference
 // fleet), and hands off to serveHTTP.
-func serve(ctx context.Context, addr, addrFile, experiments string, devices, parallel, repeat int, interval time.Duration, fcfg fleet.Config) error {
-	names, err := parseExperiments(experiments)
-	if err != nil {
-		return err
-	}
-
+func serve(ctx context.Context, addr, addrFile string, fcfg fleet.Config) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -153,43 +90,28 @@ func serve(ctx context.Context, addr, addrFile, experiments string, devices, par
 		}
 	}
 
-	s, err := newServer(devices, parallel, fcfg)
+	s, err := newServer(fcfg)
 	if err != nil {
 		ln.Close()
 		return err
 	}
 	defer s.Close()
-	return serveHTTP(ctx, ln, s, names, repeat, interval)
+	return serveHTTP(ctx, ln, s)
 }
 
-// serveHTTP runs the job stream and serves ln until ctx is cancelled or
-// the listener fails. The stream context is cancelled as soon as Serve
-// returns — before waiting on the stream — so a real listener error
-// surfaces as moused's exit instead of an infinite -repeat 0 stream
-// holding the process open forever.
-func serveHTTP(ctx context.Context, ln net.Listener, s *server, names []string, repeat int, interval time.Duration) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.runStream(ctx, names, repeat, interval)
-	}()
-
+// serveHTTP serves ln until the listener fails, returning its error,
+// or until ctx is cancelled, then shuts down gracefully: in-flight
+// requests get up to five seconds to finish.
+func serveHTTP(ctx context.Context, ln net.Listener, s *server) error {
 	httpSrv := &http.Server{Handler: s.handler()}
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		httpSrv.Shutdown(shutdownCtx)
-	}()
-	err := httpSrv.Serve(ln)
-	cancel()
-	wg.Wait()
-	if err == http.ErrServerClosed {
-		return nil
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-	return err
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return httpSrv.Shutdown(shutdownCtx)
 }

@@ -2,8 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,34 +15,30 @@ import (
 
 	"mouse/internal/fleet"
 	"mouse/internal/metrics"
+	"mouse/internal/workload"
 )
 
-// testFleetConfig is a small continuous-power inference fleet: tests
-// that only exercise the job stream shouldn't pay for charge
-// simulation or lingering batchers.
+// testFleetConfig is a small harvested inference fleet without a
+// batching deadline. Its default 2 µJ per sample exceeds the 0.66 µJ
+// ModernSTT capacitor window, so every batch stalls its device for a
+// few milliseconds of recharge and records an outage.
 func testFleetConfig() fleet.Config {
 	cfg := fleet.DefaultConfig()
 	cfg.Devices = 2
-	cfg.Mode = fleet.Continuous
 	cfg.BatchLinger = 0
 	return cfg
 }
 
 // newTestServer builds a server on the test fleet config and ties its
 // shutdown to the test.
-func newTestServer(t *testing.T, devices, workers int) *server {
+func newTestServer(t *testing.T) *server {
 	t.Helper()
-	s, err := newServer(devices, workers, testFleetConfig())
+	s, err := newServer(testFleetConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
 	return s
-}
-
-// streamOnce runs the given experiment stream to completion on srv.
-func streamOnce(s *server, experiments ...string) {
-	s.runStream(context.Background(), experiments, 1, 0)
 }
 
 // scrape fetches path from the test server and returns the body.
@@ -63,15 +60,29 @@ func scrape(t *testing.T, ts *httptest.Server, path string) []byte {
 }
 
 // TestMetricsMatchFleetSection is the acceptance differential test:
-// after a finished job stream, every mouse_probe_* series served on
-// /metrics must equal the corresponding field of the merged fleet
-// Section exactly, and the whole document must pass the linter.
+// after serving harvested inference until the fleet records outages,
+// every mouse_probe_* series served on /metrics must equal the
+// corresponding field of the merged fleet Section exactly, and the
+// whole document must pass the linter.
 func TestMetricsMatchFleetSection(t *testing.T) {
-	s := newTestServer(t, 2, 1)
-	streamOnce(s, "checkpoint", "fft")
-
+	s := newTestServer(t)
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
+
+	hb, err := workload.HotBatchByName("svm-adult")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := hb.Samples(4)
+	for i := 0; s.fleetSection().Outages == 0; i++ {
+		if i == 20 {
+			t.Fatal("20 harvested requests recorded no outage")
+		}
+		if resp, _ := postInfer(t, ts, inferRequest{Workload: hb.Name, Samples: samples}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/infer: %s", resp.Status)
+		}
+	}
+
 	body := scrape(t, ts, "/metrics")
 	if err := metrics.Lint(strings.NewReader(string(body))); err != nil {
 		t.Fatalf("/metrics fails lint: %v\n%s", err, body)
@@ -81,29 +92,33 @@ func TestMetricsMatchFleetSection(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every request has returned, so the device shards are quiescent
+	// and this snapshot matches the one the scrape took.
 	sec := s.fleetSection()
-	if sec.Instructions == 0 || sec.Outages == 0 {
-		t.Fatalf("job stream produced no telemetry: %+v", sec)
+	if sec.VoltageSamples == 0 {
+		t.Fatalf("harvested serving recorded no voltage samples: %+v", sec)
 	}
 	want := map[string]float64{
-		"mouse_probe_instructions_total":                   float64(sec.Instructions),
-		"mouse_probe_replays_total":                        float64(sec.Replays),
-		"mouse_probe_interrupts_total":                     float64(sec.Interrupts),
-		"mouse_probe_outages_total":                        float64(sec.Outages),
-		"mouse_probe_restores_total":                       float64(sec.Restores),
-		`mouse_probe_energy_joules_total{phase="compute"}`: sec.Energy.Compute,
-		`mouse_probe_energy_joules_total{phase="backup"}`:  sec.Energy.Backup,
-		`mouse_probe_energy_joules_total{phase="restore"}`: sec.Energy.Restore,
-		"mouse_probe_busy_seconds_total":                   sec.BusySeconds,
-		"mouse_probe_outage_seconds_total":                 sec.OutageSeconds,
-		"mouse_probe_outage_duration_seconds_count":        float64(sec.Outages),
-		"mouse_probe_outage_duration_seconds_sum":          sec.OutageSeconds,
-		"moused_runs_started_total":                        2,
-		"moused_runs_completed_total":                      2,
-		"moused_runs_failed_total":                         0,
-		"moused_runs_active":                               0,
-		"moused_devices":                                   2,
-		"moused_run_seconds_count":                         2,
+		"mouse_probe_instructions_total":                        float64(sec.Instructions),
+		"mouse_probe_replays_total":                             float64(sec.Replays),
+		"mouse_probe_interrupts_total":                          float64(sec.Interrupts),
+		"mouse_probe_outages_total":                             float64(sec.Outages),
+		"mouse_probe_restores_total":                            float64(sec.Restores),
+		"mouse_probe_faults_injected_total":                     float64(sec.FaultsInjected),
+		"mouse_probe_voltage_samples_total":                     float64(sec.VoltageSamples),
+		`mouse_probe_energy_joules_total{phase="compute"}`:      sec.Energy.Compute,
+		`mouse_probe_energy_joules_total{phase="backup"}`:       sec.Energy.Backup,
+		`mouse_probe_energy_joules_total{phase="lost"}`:         sec.Energy.Lost,
+		`mouse_probe_energy_joules_total{phase="replay"}`:       sec.Energy.Replay,
+		`mouse_probe_energy_joules_total{phase="restore"}`:      sec.Energy.Restore,
+		"mouse_probe_busy_seconds_total":                        sec.BusySeconds,
+		"mouse_probe_outage_seconds_total":                      sec.OutageSeconds,
+		"mouse_probe_restore_seconds_total":                     sec.RestoreSeconds,
+		"mouse_probe_outage_duration_seconds_count":             float64(sec.Outages),
+		"mouse_probe_outage_duration_seconds_sum":               sec.OutageSeconds,
+		`mouse_probe_outage_duration_seconds_bucket{le="+Inf"}`: float64(sec.Outages),
+		`mouse_probe_voltage_volts{bound="max"}`:                sec.VoltageMax,
+		`mouse_probe_voltage_volts{bound="min"}`:                sec.VoltageMin,
 	}
 	for key, v := range want {
 		got, ok := vals[key]
@@ -115,55 +130,27 @@ func TestMetricsMatchFleetSection(t *testing.T) {
 			t.Errorf("%s = %g, want %g", key, got, v)
 		}
 	}
-
-	// Devices must have split the work: both shards saw instructions,
-	// and the per-device series sum to the fleet total.
-	d0 := vals[`moused_device_instructions_total{device="0"}`]
-	d1 := vals[`moused_device_instructions_total{device="1"}`]
-	if d0 == 0 || d1 == 0 {
-		t.Errorf("round-robin left a device idle: dev0=%g dev1=%g", d0, d1)
-	}
-	if d0+d1 != float64(sec.Instructions) {
-		t.Errorf("device instruction split %g+%g != fleet %d", d0, d1, sec.Instructions)
-	}
-}
-
-// TestScrapeMidStream scrapes /metrics at a deterministic point inside
-// the job stream (after the first job, via the test hook) and checks
-// the exposition is already valid and counting.
-func TestScrapeMidStream(t *testing.T) {
-	s := newTestServer(t, 1, 1)
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-
-	var mid []byte
-	testHookAfterExperiment = func(seq int) {
-		if seq == 1 {
-			mid = scrape(t, ts, "/metrics")
+	// No probe series may escape the comparison: the finite histogram
+	// buckets are cumulative counts bounded by the total, and nothing
+	// else is served.
+	for key, got := range vals {
+		if !strings.HasPrefix(key, "mouse_probe_") {
+			continue
 		}
-	}
-	defer func() { testHookAfterExperiment = nil }()
-
-	streamOnce(s, "table2", "checkpoint")
-	if mid == nil {
-		t.Fatal("mid-stream hook never fired")
-	}
-	if err := metrics.Lint(strings.NewReader(string(mid))); err != nil {
-		t.Fatalf("mid-stream /metrics fails lint: %v\n%s", err, mid)
-	}
-	vals, err := metrics.Values(strings.NewReader(string(mid)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals["moused_runs_started_total"] != 1 || vals["moused_runs_completed_total"] != 1 {
-		t.Errorf("mid-stream run counters: started %g, completed %g",
-			vals["moused_runs_started_total"], vals["moused_runs_completed_total"])
+		if _, ok := want[key]; ok {
+			continue
+		}
+		if strings.HasPrefix(key, "mouse_probe_outage_duration_seconds_bucket{") && got <= float64(sec.Outages) {
+			continue
+		}
+		t.Errorf("unexpected probe series %s = %g", key, got)
 	}
 }
 
+// TestHealthzRunsAndPprof: liveness and the pprof handlers are served;
+// the experiment-run feed /runs is gone.
 func TestHealthzRunsAndPprof(t *testing.T) {
-	s := newTestServer(t, 1, 1)
-	streamOnce(s, "table2")
+	s := newTestServer(t)
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
@@ -171,46 +158,17 @@ func TestHealthzRunsAndPprof(t *testing.T) {
 		t.Errorf("/healthz = %q", got)
 	}
 
-	var page runsPage
-	if err := json.Unmarshal(scrape(t, ts, "/runs"), &page); err != nil {
-		t.Fatalf("/runs is not valid JSON: %v", err)
+	resp, err := ts.Client().Get(ts.URL + "/runs")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if page.Started != 1 || page.Completed != 1 || len(page.Runs) != 1 {
-		t.Fatalf("/runs page: %+v", page)
-	}
-	r := page.Runs[0]
-	if r.Name != "table2" || r.State != "done" || r.Rows <= 0 {
-		t.Errorf("run record: %+v", r)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /runs: %s, want 404", resp.Status)
 	}
 
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
 		scrape(t, ts, path) // fails the test on non-200
-	}
-}
-
-func TestRunsHistoryTracksFailures(t *testing.T) {
-	s := newTestServer(t, 1, 1)
-	s.runOne("not-an-experiment", 0, 0)
-	if s.failed.Value() != 1 || s.completed.Value() != 0 {
-		t.Fatalf("failed %g completed %g", s.failed.Value(), s.completed.Value())
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.runs) != 1 || s.runs[0].State != "failed" || s.runs[0].Error == "" {
-		t.Errorf("history: %+v", s.runs)
-	}
-}
-
-func TestParseExperiments(t *testing.T) {
-	names, err := parseExperiments(" table2, checkpoint ,fft")
-	if err != nil || len(names) != 3 || names[0] != "table2" {
-		t.Errorf("parseExperiments: %v, %v", names, err)
-	}
-	if _, err := parseExperiments("table2,frobnicate"); err == nil {
-		t.Errorf("unknown experiment accepted")
-	}
-	if _, err := parseExperiments(" , "); err == nil {
-		t.Errorf("empty list accepted")
 	}
 }
 
@@ -224,7 +182,7 @@ func TestServeWritesAddrFileAndShutsDown(t *testing.T) {
 	defer cancel()
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- serve(ctx, "127.0.0.1:0", addrFile, "table2", 1, 1, 1, 0, testFleetConfig())
+		errCh <- serve(ctx, "127.0.0.1:0", addrFile, testFleetConfig())
 	}()
 
 	var addr string
@@ -260,28 +218,27 @@ func TestServeWritesAddrFileAndShutsDown(t *testing.T) {
 	}
 }
 
-// TestRunStreamHonorsContext: a cancelled context stops the infinite
-// stream promptly.
-func TestRunStreamHonorsContext(t *testing.T) {
-	s := newTestServer(t, 1, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	testHookAfterExperiment = func(seq int) {
-		if seq == 2 {
-			cancel()
-		}
-	}
-	defer func() { testHookAfterExperiment = nil }()
-	done := make(chan struct{})
-	go func() {
-		s.runStream(ctx, []string{"table2"}, 0, 0) // repeat forever
-		close(done)
-	}()
+// failingListener's Accept always returns a permanent error, the shape
+// of a listener yanked out from under a running server.
+type failingListener struct{}
+
+func (failingListener) Accept() (net.Conn, error) { return nil, errors.New("listener exploded") }
+func (failingListener) Close() error              { return nil }
+func (failingListener) Addr() net.Addr            { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+
+// TestServeHTTPReturnsOnListenerError: a real Serve error (not
+// ErrServerClosed) must surface as serveHTTP's return, even though the
+// context is never cancelled.
+func TestServeHTTPReturnsOnListenerError(t *testing.T) {
+	s := newTestServer(t)
+	errCh := make(chan error, 1)
+	go func() { errCh <- serveHTTP(context.Background(), failingListener{}, s) }()
 	select {
-	case <-done:
+	case err := <-errCh:
+		if err == nil || !strings.Contains(err.Error(), "listener exploded") {
+			t.Errorf("serveHTTP returned %v, want the listener error", err)
+		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("runStream did not stop after cancel")
-	}
-	if got := s.started.Value(); got != 2 {
-		t.Errorf("started %g runs before stopping, want 2", got)
+		t.Fatal("serveHTTP hung after listener failure")
 	}
 }

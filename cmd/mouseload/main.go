@@ -12,7 +12,8 @@
 // wrote to its -addr-file). -workload picks the served hot workload
 // (default svm-adult), -n the request count, -batch the samples per
 // request, and -interval the open-loop arrival spacing: requests launch
-// on schedule no matter how slowly earlier ones complete, so harvested
+// on schedule no matter how slowly earlier ones complete, and each
+// latency runs from the request's scheduled arrival, so harvested
 // stalls show up as latency instead of silently thinning the load.
 //
 // -verify recomputes every expected label with the offline batch

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,6 +107,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("fleet: queue depth %d", c.QueueDepth)
 	case c.Mode != Continuous && c.Mode != Harvested:
 		return fmt.Errorf("fleet: unknown power mode %q", c.Mode)
+	case !finite(c.HarvestW, c.CapacitanceF, c.VOn, c.VOff, c.EnergyPerSampleJ):
+		return fmt.Errorf("fleet: non-finite energy parameter (harvest %g W, capacitance %g F, window [%g, %g] V, %g J per sample)",
+			c.HarvestW, c.CapacitanceF, c.VOff, c.VOn, c.EnergyPerSampleJ)
 	case c.CapacitanceF <= 0:
 		return fmt.Errorf("fleet: capacitance %g F", c.CapacitanceF)
 	case c.VOff <= 0 || c.VOn <= c.VOff:
@@ -116,6 +120,17 @@ func (c Config) validate() error {
 		return fmt.Errorf("fleet: harvested mode needs a positive harvest rate, got %g W", c.HarvestW)
 	}
 	return nil
+}
+
+// finite reports whether every x is neither NaN nor ±Inf. The range
+// checks in validate compare with <= and <, which NaN passes.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Sentinel errors. OverloadedError carries the Retry-After hint and

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -51,6 +52,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(DefaultConfig()); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+}
+
+// TestConfigRejectsNonFinite: NaN passes every <= and < range check,
+// so each energy parameter must be rejected as NaN or ±Inf explicitly.
+// A fleet built on one would report NaN charge on /metrics.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Config) *float64{
+		"HarvestW":         func(c *Config) *float64 { return &c.HarvestW },
+		"CapacitanceF":     func(c *Config) *float64 { return &c.CapacitanceF },
+		"VOn":              func(c *Config) *float64 { return &c.VOn },
+		"VOff":             func(c *Config) *float64 { return &c.VOff },
+		"EnergyPerSampleJ": func(c *Config) *float64 { return &c.EnergyPerSampleJ },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			*field(&cfg) = v
+			if f, err := New(cfg); err == nil {
+				f.Stop()
+				t.Errorf("%s = %g: config accepted", name, v)
+			}
+		}
 	}
 }
 

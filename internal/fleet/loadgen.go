@@ -10,8 +10,10 @@ import (
 
 // The synthetic open-loop load generator: requests are launched on a
 // fixed arrival schedule regardless of how fast earlier requests
-// complete (the standard way to measure serving latency without the
-// coordinated-omission bias of closed loops), and the per-request
+// complete, and each latency runs from the request's scheduled arrival,
+// not from its actual send. A generator that falls behind its schedule
+// therefore shows as latency instead of hiding (the coordinated-omission
+// bias of closed loops and of send-clocked open loops). The per-request
 // latencies aggregate into p50/p99. The send function is pluggable so
 // the same generator drives an in-process Fleet (the bench experiment)
 // and a remote moused over HTTP (cmd/mouseload).
@@ -54,7 +56,9 @@ type LoadReport struct {
 
 // RunLoad launches cfg.Requests requests of cfg.BatchSize consecutive
 // samples each on the open-loop schedule and blocks until every
-// response (or rejection) is in.
+// response (or rejection) is in. Request i is due at start +
+// i*cfg.Interval; one loop sleeps until each due time and spawns the
+// send, and the request's latency is measured from its due time.
 func RunLoad(cfg LoadConfig, samples [][]int, send SendFunc) (LoadReport, error) {
 	if cfg.Requests < 1 || cfg.BatchSize < 1 {
 		return LoadReport{}, fmt.Errorf("fleet: load of %d requests x %d samples", cfg.Requests, cfg.BatchSize)
@@ -76,18 +80,16 @@ func RunLoad(cfg LoadConfig, samples [][]int, send SendFunc) (LoadReport, error)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < cfg.Requests; i++ {
+		// Open loop: wait for this request's scheduled arrival, not for
+		// any earlier request to finish.
+		due := start.Add(time.Duration(i) * cfg.Interval)
+		time.Sleep(time.Until(due))
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, due time.Time) {
 			defer wg.Done()
-			// Open loop: wait for this request's scheduled arrival, not
-			// for any earlier request to finish.
-			if cfg.Interval > 0 {
-				time.Sleep(time.Until(start.Add(time.Duration(i) * cfg.Interval)))
-			}
 			chunk := samples[i*cfg.BatchSize : (i+1)*cfg.BatchSize]
-			t0 := time.Now()
 			preds, err := send(chunk)
-			o := outcome{lat: time.Since(t0), err: err}
+			o := outcome{lat: time.Since(due), err: err}
 			if err == nil && len(preds) != len(chunk) {
 				o.err = fmt.Errorf("fleet: request %d got %d predictions for %d samples", i, len(preds), len(chunk))
 			}
@@ -99,7 +101,7 @@ func RunLoad(cfg LoadConfig, samples [][]int, send SendFunc) (LoadReport, error)
 				}
 			}
 			outcomes[i] = o
-		}(i)
+		}(i, due)
 	}
 	wg.Wait()
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -57,6 +58,31 @@ func TestRunLoadCounts(t *testing.T) {
 	}
 	if rep.Errors != 1 || rep.OK != 0 {
 		t.Errorf("short prediction vector counted as %+v, want 1 error", rep)
+	}
+}
+
+// TestRunLoadClocksFromSchedule: a request's latency runs from its
+// scheduled arrival, so time spent waiting behind a stalled generator
+// counts. On one P with every request due at once, each send spins
+// without blocking, so the last request cannot start until all the
+// others have spun: its latency is about 32 spins, not one.
+func TestRunLoadClocksFromSchedule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const requests, spin = 32, 2 * time.Millisecond
+	send := func(chunk [][]int) ([]int, error) {
+		for t0 := time.Now(); time.Since(t0) < spin; {
+		}
+		return make([]int, len(chunk)), nil
+	}
+	rep, err := RunLoad(LoadConfig{Requests: requests, BatchSize: 1}, make([][]int, requests), send)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != requests {
+		t.Fatalf("RunLoad counted %+v, want %d OKs", rep, requests)
+	}
+	if rep.P99 < 8*spin {
+		t.Errorf("p99 %v under %v: time queued behind earlier requests was not counted", rep.P99, 8*spin)
 	}
 }
 

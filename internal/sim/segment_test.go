@@ -326,3 +326,55 @@ func FuzzSegmentVsStepping(f *testing.F) {
 		requireIdentical(t, "fuzz", seg, step, segErr, stepErr)
 	})
 }
+
+// FuzzCheckpointInterval covers the rollback loop behind
+// RunWithCheckpointInterval at intervals k >= 1: every run either
+// completes all its instructions or stops with ErrNonTermination within
+// a deadline, and an outage replays at most k instructions. uniform
+// selects a stream of identical 8192-pair NANDs instead of random ops;
+// its seeds are the two intervals that once livelocked on ModernSTT at
+// 60 µW.
+func FuzzCheckpointInterval(f *testing.F) {
+	f.Add(int64(0), uint16(3000), 60.0, uint8(0), uint16(1300), true)
+	f.Add(int64(0), uint16(3000), 60.0, uint8(0), uint16(2000), true)
+	f.Add(int64(1), uint16(300), 60.0, uint8(0), uint16(8), false)
+	f.Add(int64(2), uint16(1500), 20.0, uint8(1), uint16(64), false)
+	f.Add(int64(3), uint16(2000), 5000.0, uint8(2), uint16(700), false)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, microwatts float64, cfgSel uint8, k uint16, uniform bool) {
+		// Below 1 µW the initial charge can outlast MaxChargeWait, a
+		// different error than the one under test.
+		if !(microwatts >= 1 && microwatts <= 1e9) || k == 0 {
+			t.Skip()
+		}
+		cfgs := mtj.Configs()
+		cfg := cfgs[int(cfgSel)%len(cfgs)]
+		var s *SliceStream
+		if uniform {
+			s = nandStream(1 + int(n)%4096)
+		} else {
+			s = &SliceStream{Ops: randomOps(rand.New(rand.NewSource(seed)), int(n)%2048)}
+		}
+		r := NewRunner(energy.NewModel(cfg))
+		var res Result
+		var err error
+		withDeadline(t, 10*time.Second, func() {
+			res, err = r.RunWithCheckpointInterval(s, harvester(cfg, microwatts*1e-6), int(k))
+		})
+		switch {
+		case err == nil:
+			if !res.Completed || res.Instructions != uint64(len(s.Ops)) {
+				t.Errorf("k=%d: error-free run retired %d of %d instructions (completed %v)",
+					k, res.Instructions, len(s.Ops), res.Completed)
+			}
+		case errors.Is(err, ErrNonTermination):
+			if res.Completed {
+				t.Errorf("k=%d: aborted run marked completed", k)
+			}
+		default:
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if res.Replays > res.Restarts*uint64(k) {
+			t.Errorf("k=%d: %d replays exceed %d restarts times the interval", k, res.Replays, res.Restarts)
+		}
+	})
+}
