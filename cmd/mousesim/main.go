@@ -1,6 +1,9 @@
 // mousesim runs a MOUSE program image on the bit-accurate functional
 // simulator, optionally under a harvested power supply with unexpected
-// outages, and reports the EH-model accounting.
+// outages, and reports the EH-model accounting. Before running it prints
+// the worst-case-energy verdict (lint.Certify, as mousevet -cert) for
+// the capacitor it runs on, and refuses a harvested run that verdict
+// says cannot make forward progress.
 //
 // Usage:
 //
@@ -9,7 +12,7 @@
 //	-config modern-stt|projected-stt|she   technology (default modern-stt)
 //	-tiles N -rows N -cols N               machine geometry
 //	-power W                               harvested power (0 = continuous)
-//	-cap F                                 capacitor override (farads)
+//	-cap F                                 capacitor override (farads), for the verdict and the run
 //	-dump tile:row0:row1:col               print a bit range after the run
 package main
 
@@ -23,6 +26,7 @@ import (
 	"mouse/internal/array"
 	"mouse/internal/controller"
 	"mouse/internal/isa"
+	"mouse/internal/lint"
 	"mouse/internal/mtj"
 	"mouse/internal/power"
 	"mouse/internal/sim"
@@ -63,6 +67,9 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown config %q", *config)
 	}
+	if *capF > 0 {
+		cfg.CapC = *capF
+	}
 
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
@@ -79,20 +86,23 @@ func run(args []string, stdout io.Writer) error {
 	runner := sim.NewMachineRunner(c)
 
 	// Static forward-progress check before deployment (Section I's
-	// non-termination hazard).
-	rep := sim.CheckTermination(sim.StreamFromProgram(prog, *tiles), runner.Model)
-	fmt.Fprintln(stdout, rep)
-	if !rep.OK && *watts > 0 {
+	// non-termination hazard): every one-instruction checkpoint region,
+	// restore included, must fit one discharge window of this capacitor.
+	cert, err := lint.Certify(prog, lint.Options{
+		Geometry: lint.Geometry{Tiles: *tiles, Rows: *rows, Cols: *cols},
+		Config:   cfg,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, verdict(cert))
+	if !cert.Feasible && *watts > 0 {
 		return fmt.Errorf("program cannot make forward progress on this energy buffer")
 	}
 
 	var h *power.Harvester
 	if *watts > 0 {
-		capacitance := cfg.CapC
-		if *capF > 0 {
-			capacitance = *capF
-		}
-		h = power.NewHarvester(power.Constant{W: *watts}, capacitance, cfg.CapVMin, cfg.CapVMax)
+		h = power.NewHarvester(power.Constant{W: *watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 	}
 	res, err := runner.Run(h)
 	if err != nil {
@@ -125,4 +135,18 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout)
 	}
 	return nil
+}
+
+// verdict summarizes a certificate on one line.
+func verdict(cert *lint.Certificate) string {
+	v := "terminates"
+	if !cert.Feasible {
+		v = "NON-TERMINATING"
+	}
+	if cert.WorstRegion < 0 {
+		return fmt.Sprintf("%s: window %.4g J, empty program", v, cert.WindowJ)
+	}
+	w := cert.Regions[cert.WorstRegion]
+	return fmt.Sprintf("%s: window %.4g J, worst region [%d,%d) needs %.4g J (restore %.4g J), headroom %.2fx over %d regions",
+		v, cert.WindowJ, w.Start, w.End, w.WCEJ, w.RestoreJ, w.Headroom, len(cert.Regions))
 }

@@ -66,6 +66,27 @@ func TestRunIntermittent(t *testing.T) {
 	}
 }
 
+// TestRunRefusesUndersizedCap: -cap sizes the capacitor the verdict is
+// certified on, not only the harvester. 0.63 nF gives a 4.16 pJ window:
+// above the ACT's own 4.08 pJ but below the 4.24 pJ worst case of its
+// region once a restart restore is charged, so the certificate is
+// infeasible and the harvested run is refused.
+func TestRunRefusesUndersizedCap(t *testing.T) {
+	img := writeImage(t, t.TempDir())
+	var out bytes.Buffer
+	err := run([]string{"-rows", "16", "-cols", "8", "-power", "1e-6", "-cap", "6.3e-10", img}, &out)
+	if err == nil || !strings.Contains(err.Error(), "forward progress") {
+		t.Fatalf("undersized capacitor not refused: err=%v\n%s", err, out.String())
+	}
+	s := out.String()
+	if !strings.Contains(s, "NON-TERMINATING: window 4.158e-12 J, worst region [0,1)") {
+		t.Errorf("verdict should be NON-TERMINATING on the overridden window: %q", s)
+	}
+	if strings.Contains(s, "instructions:") {
+		t.Errorf("refused program ran: %q", s)
+	}
+}
+
 func TestRunConfigs(t *testing.T) {
 	img := writeImage(t, t.TempDir())
 	for _, cfg := range []string{"modern-stt", "projected-stt", "she"} {

@@ -1,7 +1,7 @@
 // mousevet statically verifies MOUSE programs before they are deployed:
 // it runs the internal/lint rule suite — address bounds, define-before-
 // use, dead writes, column-activation discipline, checkpoint replay
-// safety, energy forward progress, and per-region worst-case energy —
+// safety, and forward progress as per-region worst-case energy —
 // over assembly sources and binary program images, and exits non-zero
 // when any error-severity finding would make the program misbehave at
 // inference time.
@@ -13,9 +13,9 @@
 //	-json                                  machine-readable report
 //	-all                                   also print info-severity findings
 //	-werror                                treat warnings as errors for the exit code
-//	-rules bounds,energy                   run only the listed rules (empty = all; "help" lists them)
+//	-rules bounds,wce                      run only the listed rules (empty = all; "help" lists them)
 //	-tiles N -rows N -cols N               deployed geometry (default: full ISA space)
-//	-config modern-stt|projected-stt|she   technology for the energy rules
+//	-config modern-stt|projected-stt|she   technology for the wce rule
 //	-cap F                                 capacitor override in farads
 //	-interval N                            checkpoint interval for the replay and wce rules
 //	-cert                                  emit the per-region worst-case-energy certificate

@@ -26,7 +26,7 @@ var goldenCases = []struct {
 	{"activation", []string{"-rules", "activation", "testdata/activation.s"}, 1},
 	{"replay", []string{"-interval", "2", "-rules", "replay", "testdata/replay.s"}, 1},
 	{"actreplay", []string{"-interval", "4", "-rules", "replay", "testdata/actreplay.s"}, 1},
-	{"energy", []string{"-cap", "1e-12", "-rules", "energy", "testdata/energy.s"}, 1},
+	{"energy", []string{"-cap", "1e-12", "-rules", "wce", "testdata/energy.s"}, 1},
 	// -werror promotes the dead-write warnings to the error exit while
 	// leaving the printed report unchanged.
 	{"werror", []string{"-werror", "-rules", "dead-write", "testdata/deadwrite.s"}, 1},
@@ -212,7 +212,7 @@ func TestRulesHelp(t *testing.T) {
 	if err != nil || code != 0 {
 		t.Fatalf("run: code=%d err=%v", code, err)
 	}
-	for _, id := range []string{"bounds", "def-use", "dead-write", "activation", "replay", "energy"} {
+	for _, id := range []string{"bounds", "def-use", "dead-write", "activation", "replay", "wce"} {
 		if !strings.Contains(out.String(), id) {
 			t.Errorf("rule listing missing %q:\n%s", id, out.String())
 		}

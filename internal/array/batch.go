@@ -38,7 +38,7 @@ import (
 const MaxLanes = 64
 
 // FlatOp is one pre-resolved instruction of a FlatProgram
-// (compile.Flatten builds them). Field usage mirrors isa.Instruction,
+// (Flatten builds them). Field usage mirrors isa.Instruction,
 // but every value is already in the form the batch executor consumes —
 // validation, geometry checks, truth-table lookup, and activation
 // decoding all happened at compile time.
@@ -304,7 +304,7 @@ func (m *BatchMachine) BufferLane(lane int, dst []byte) {
 // Replay executes a compiled program once over all lanes. The program
 // must have been flattened for this machine's exact geometry; that is
 // the only runtime check — per-instruction validation happened in
-// compile.Flatten, so the loop below is branch-lean, cannot fail, and
+// Flatten, so the loop below is branch-lean, cannot fail, and
 // performs no allocation.
 func (m *BatchMachine) Replay(fp *FlatProgram) error {
 	if err := m.checkGeometry(fp.Tiles, fp.Rows, fp.Cols); err != nil {
@@ -359,7 +359,7 @@ func (m *BatchMachine) Replay(fp *FlatProgram) error {
 
 // execLogic applies one full-pulse gate to the lane words of the active
 // columns — mtj.TruthTable.SwitchWord's threshold masks, pre-dispatched
-// by compile.Flatten into (NIn, MinP, ToAP).
+// by Flatten into (NIn, MinP, ToAP).
 func (t *BatchTile) execLogic(op *FlatOp) {
 	if len(t.active) == 0 {
 		return

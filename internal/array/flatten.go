@@ -15,8 +15,8 @@ import (
 // gate's resistor-network truth table resolved to its (MinSwitchP,
 // target-state) threshold via mtj.Table. It performs, once, every
 // validation the scalar execution path performs per instruction; Replay
-// then touches none of those paths again. compile.Flatten is the
-// public compile-once entry point for program producers.
+// then touches none of those paths again. Program producers (the SVM
+// and BNN batch engines) call it once per program and replay per batch.
 func Flatten(p isa.Program, cfg *mtj.Config, nTiles, rows, cols int) (*FlatProgram, error) {
 	if nTiles <= 0 || nTiles > isa.BroadcastTile {
 		return nil, fmt.Errorf("array: bad tile count %d", nTiles)

@@ -100,7 +100,7 @@ func (s *SONIC) Run(src power.Source) (Result, error) {
 	taskTime := s.TaskEnergy / p
 	taskCost := s.TaskEnergy * (1 + s.BackupFrac)
 	nTasks := int(s.ContEnergy/s.TaskEnergy) + 1
-	window := 0.5 * s.Cap * (s.VOn*s.VOn - s.VOff*s.VOff)
+	window := power.EnergyAboveOf(s.Cap, s.VOn, s.VOff)
 	if taskCost > window {
 		return res, fmt.Errorf("baseline: %s cannot complete a task within one buffer discharge", s.Name)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mouse/internal/array"
-	"mouse/internal/compile"
 	"mouse/internal/mtj"
 )
 
@@ -30,7 +29,7 @@ type BatchEngine struct {
 // NewBatchEngine compiles the mapping's program for bit-sliced replay
 // on a rows-tall machine (the geometry NewMachine allocates).
 func (m *Mapping) NewBatchEngine(cfg *mtj.Config, rows int, net *Network) (*BatchEngine, error) {
-	flat, err := compile.Flatten(m.Prog, cfg, 1, rows, m.Columns)
+	flat, err := array.Flatten(m.Prog, cfg, 1, rows, m.Columns)
 	if err != nil {
 		return nil, err
 	}

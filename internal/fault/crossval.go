@@ -82,19 +82,17 @@ func Subjects(cfg *mtj.Config) ([]Subject, error) {
 }
 
 // CrossResult holds one subject's verdicts from both sides of the
-// differential: the static analysis (lint report, WCE certificate,
-// termination check) and the dynamic evidence (crash sweep, simulated
-// run on the capacitor).
+// differential: the static analysis (lint report, WCE certificate) and
+// the dynamic evidence (crash sweep, simulated run on the capacitor).
 type CrossResult struct {
 	Name string
 
 	// Static side: the full lint report under the machine's geometry and
 	// capacitor at checkpoint interval 1 (the hardware checkpoints after
-	// every instruction), the per-region worst-case-energy certificate,
-	// and the per-instruction termination check.
+	// every instruction) and the per-region worst-case-energy
+	// certificate.
 	Static lint.Report
 	Cert   *lint.Certificate
-	Term   sim.TerminationReport
 
 	// Dynamic side: the exhaustive crash sweep and one intermittent
 	// trace-layer run on a harvester buffered by the same capacitor.
@@ -150,7 +148,6 @@ func CrossValidate(s Subject, cfg *mtj.Config, opts Options) (*CrossResult, erro
 
 	model := energy.NewModel(cfg)
 	model.RowBits = s.Cols
-	r.Term = sim.CheckTermination(sim.StreamFromProgram(s.Prog, s.Tiles), model)
 
 	// The intermittent run: same program, same capacitor, a steady
 	// source. Completion here is the dynamic analogue of the WCE
@@ -217,8 +214,7 @@ func intervalVerdicts(s Subject, cfg *mtj.Config, lopts lint.Options, runner *si
 //     point (static safety proof vs dynamic refutation);
 //   - a sweep failure must be matched by a static error (dynamic
 //     counterexample vs static proof);
-//   - a feasible WCE certificate must complete on the capacitor, and a
-//     failed termination check must refute the certificate (the
+//   - a feasible WCE certificate must complete on the capacitor (the
 //     certificate may be infeasible while the run still completes —
 //     restore overhead makes it conservative — but never the reverse);
 //   - the same holds at every checkpoint interval: a feasible
@@ -245,10 +241,6 @@ func (r *CrossResult) Disagreement() string {
 			return fmt.Sprintf("%s: at checkpoint interval %d the WCE certificate proves every region fits the window, but the run did not complete: %v",
 				r.Name, v.Interval, v.Err)
 		}
-	}
-	if !r.Term.OK && r.Cert.Feasible {
-		return fmt.Sprintf("%s: termination check finds op %d needs %.3g J > window %.3g J, but the certificate claims feasibility",
-			r.Name, r.Term.MaxOpIndex, r.Term.MaxOpJ, r.Term.WindowJ)
 	}
 	if r.SegmentMismatch != "" {
 		return fmt.Sprintf("%s: segment engine disagrees with stepping engine: %s", r.Name, r.SegmentMismatch)

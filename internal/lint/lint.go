@@ -123,14 +123,15 @@ func FullGeometry() Geometry {
 type Options struct {
 	// Geometry bounds tile/row/column references; zero → FullGeometry.
 	Geometry Geometry
-	// Config is the technology for the energy rule; nil → mtj.ModernSTT.
+	// Config is the technology and capacitor for the wce rule; nil →
+	// mtj.ModernSTT.
 	Config *mtj.Config
-	// CheckpointInterval is the replay-region length the replay rule
-	// verifies; values ≤ 1 model MOUSE's per-instruction checkpointing,
+	// CheckpointInterval is the region length the replay and wce rules
+	// verify; values ≤ 1 model MOUSE's per-instruction checkpointing,
 	// under which every region is trivially safe.
 	CheckpointInterval int
-	// MinHeadroom is the energy rule's warning threshold on
-	// window/max-op headroom; 0 → 1.5.
+	// MinHeadroom is the wce rule's warning threshold on each region's
+	// window/worst-case-energy headroom; 0 → 1.5.
 	MinHeadroom float64
 	// LineMap gives the 1-based source line of each instruction (from
 	// isa.ParseLines); nil leaves Diagnostic.Line zero.

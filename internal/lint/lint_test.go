@@ -6,10 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"mouse/internal/energy"
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
-	"mouse/internal/sim"
 )
 
 // cleanProgram is the idiomatic preset-then-gate sequence (the shape of
@@ -282,45 +280,57 @@ func TestReplayRule(t *testing.T) {
 }
 
 // windowFor sizes the capacitor so one full discharge window holds
-// exactly factor × the program's costliest operation.
+// exactly factor × the program's costliest checkpoint region at
+// interval 1, as Certify prices it.
 func windowFor(t *testing.T, prog isa.Program, g Geometry, factor float64) *mtj.Config {
 	t.Helper()
-	cfg := *mtj.ModernSTT()
-	m := energy.NewModel(&cfg)
-	if g.Cols < m.RowBits {
-		m.RowBits = g.Cols
+	cert, err := Certify(prog, Options{Geometry: g})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rep := sim.CheckTermination(sim.StreamFromProgram(prog, g.Tiles), m)
-	if rep.MaxOpJ <= 0 {
+	if cert.WorstRegion < 0 || cert.Regions[cert.WorstRegion].WCEJ <= 0 {
 		t.Fatal("fixture program has no energy cost")
 	}
-	want := factor * rep.MaxOpJ
-	cfg.CapC *= want / rep.WindowJ
+	cfg := *mtj.ModernSTT()
+	cfg.CapC *= factor * cert.Regions[cert.WorstRegion].WCEJ / cert.WindowJ
 	return &cfg
 }
 
-func TestEnergyRule(t *testing.T) {
+// TestWCERuleAtIntervalOne: under per-instruction checkpointing each
+// region is one instruction, so the wce rule is the forward-progress
+// check for single instructions, headroom warning included.
+func TestWCERuleAtIntervalOne(t *testing.T) {
 	prog := cleanProgram()
 	g := Geometry{Tiles: 2, Rows: 1024, Cols: 1024}
+	cert, err := Certify(prog, Options{Geometry: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := cert.Regions[cert.WorstRegion]
 
 	// Default capacitor: orders of magnitude of headroom, no findings.
-	r := Lint(prog, Options{Geometry: g, Rules: []string{"energy"}})
+	r := Lint(prog, Options{Geometry: g, Rules: []string{"wce"}})
 	if len(r.Diagnostics) != 0 {
 		t.Fatalf("default window flagged: %+v", r.Diagnostics)
 	}
 
-	// A window smaller than the costliest op can never finish it.
-	r = Lint(prog, Options{Geometry: g, Config: windowFor(t, prog, g, 0.5), Rules: []string{"energy"}})
-	en := r.ByRule("energy")
-	if len(en) != 1 || en[0].Severity != Error || !strings.Contains(en[0].Message, "forward progress") {
-		t.Fatalf("non-terminating program not flagged: %+v", r.Diagnostics)
+	// A window holding half the costliest region can never finish it.
+	r = Lint(prog, Options{Geometry: g, Config: windowFor(t, prog, g, 0.5), Rules: []string{"wce"}})
+	flagged := false
+	for _, d := range r.ByRule("wce") {
+		if d.Severity == Error && d.Index == worst.Start && strings.Contains(d.Message, "livelocks") {
+			flagged = true
+		}
+	}
+	if !flagged {
+		t.Fatalf("region [%d,%d) not flagged on half its worst case: %+v", worst.Start, worst.End, r.Diagnostics)
 	}
 
 	// A window that barely fits is fragile.
-	r = Lint(prog, Options{Geometry: g, Config: windowFor(t, prog, g, 1.2), Rules: []string{"energy"}})
-	en = r.ByRule("energy")
-	if len(en) != 1 || en[0].Severity != Warning || !strings.Contains(en[0].Message, "headroom") {
-		t.Fatalf("fragile headroom not flagged: %+v", r.Diagnostics)
+	r = Lint(prog, Options{Geometry: g, Config: windowFor(t, prog, g, 1.2), Rules: []string{"wce"}})
+	ds := r.ByRule("wce")
+	if len(ds) != 1 || ds[0].Severity != Warning || ds[0].Index != worst.Start || !strings.Contains(ds[0].Message, "headroom") {
+		t.Fatalf("fragile headroom not flagged once at %d: %+v", worst.Start, r.Diagnostics)
 	}
 }
 
@@ -373,7 +383,7 @@ func TestRulesRegistryAndFilter(t *testing.T) {
 		}
 		ids[rule.ID] = true
 	}
-	for _, want := range []string{"bounds", "def-use", "dead-write", "activation", "replay", "energy"} {
+	for _, want := range []string{"bounds", "def-use", "dead-write", "activation", "replay", "wce"} {
 		if !ids[want] {
 			t.Errorf("rule %q not registered", want)
 		}

@@ -418,6 +418,39 @@ func TestCertifyInfeasibleAndReportCap(t *testing.T) {
 	}
 }
 
+// Headroom warnings are capped like errors: eight per-region findings
+// plus one summary, at the per-instruction interval too.
+func TestWCEHeadroomWarningCap(t *testing.T) {
+	prog := isa.Program{isa.ActRange(true, 0, 0, 4, 1)}
+	for len(prog) < 20 {
+		prog = append(prog, isa.Preset(1, mtj.P))
+	}
+	g := Geometry{Tiles: 1, Rows: 1024, Cols: 1024}
+	cert, err := Certify(prog, Options{Geometry: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Size the window to 1.2x the presets' region cost: the ACT region
+	// cannot fit and all 19 preset regions fit with thin headroom.
+	preset := cert.Regions[1].WCEJ
+	cfg := *mtj.ModernSTT()
+	cfg.CapC *= 1.2 * preset / cert.WindowJ
+	r := Lint(prog, Options{Geometry: g, Config: &cfg, Rules: []string{"wce"}})
+	warnings, summary := 0, 0
+	for _, d := range r.ByRule("wce") {
+		if d.Severity != Warning {
+			continue
+		}
+		warnings++
+		if strings.Contains(d.Message, "first 8 reported") {
+			summary++
+		}
+	}
+	if warnings != 9 || summary != 1 {
+		t.Fatalf("got %d headroom warnings (%d summaries), want 8 capped + 1 summary: %+v", warnings, summary, r.Diagnostics)
+	}
+}
+
 func TestCertifyRejectsInvalidInstructions(t *testing.T) {
 	prog := isa.Program{{Kind: isa.Kind(250)}}
 	if _, err := Certify(prog, Options{}); err == nil {

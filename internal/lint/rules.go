@@ -1,10 +1,8 @@
 package lint
 
 import (
-	"mouse/internal/energy"
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
-	"mouse/internal/sim"
 )
 
 // The built-in rule suite. The dataflow rules (def-use, dead-write,
@@ -19,7 +17,6 @@ func init() {
 	Register(Rule{ID: "dead-write", Doc: "no value is overwritten before anything reads it, including across the loop edge", Check: checkDeadWrite})
 	Register(Rule{ID: "activation", Doc: "column activations exist, are non-empty, and are used before replaced", Check: checkActivation})
 	Register(Rule{ID: "replay", Doc: "checkpoint regions are WAR- and activation-hazard-free and safe to replay", Check: checkReplay})
-	Register(Rule{ID: "energy", Doc: "every instruction fits one capacitor discharge window", Check: checkEnergy})
 	Register(Rule{ID: "wce", Doc: "every checkpoint region's worst-case energy fits one discharge window", Check: checkWCE})
 }
 
@@ -430,32 +427,5 @@ func checkActReplay(p *Pass, it *interp, reg Region) {
 				"checkpoint region [%d,%d) may not be replay-safe: the region-entry activation cannot be pinned to a single configuration, so a crash after this ACT may replay instruction %d under a different column set",
 				reg.Start, reg.End, firstReader)
 		}
-	}
-}
-
-// checkEnergy verifies Section I's forward-progress condition: the most
-// expensive single instruction — the unit of atomic progress — must fit
-// one full capacitor discharge window, or the device can never complete
-// it no matter how often it recharges. Headroom close to 1 is flagged
-// as fragile (device aging and temperature shrink the window). The wce
-// rule generalizes this to whole checkpoint regions.
-func checkEnergy(p *Pass) {
-	if !p.AllValid {
-		return
-	}
-	m := energy.NewModel(p.Opts.Config)
-	if p.Opts.Geometry.Cols < m.RowBits {
-		m.RowBits = p.Opts.Geometry.Cols
-	}
-	rep := sim.CheckTermination(sim.StreamFromProgram(p.Prog, p.Opts.Geometry.Tiles), m)
-	switch {
-	case rep.Ops == 0:
-		return
-	case !rep.OK:
-		p.Report("energy", int(rep.MaxOpIndex), Error,
-			"cannot make forward progress: this instruction needs %.3g J but one full discharge window holds %.3g J", rep.MaxOpJ, rep.WindowJ)
-	case rep.Headroom < p.Opts.MinHeadroom:
-		p.Report("energy", int(rep.MaxOpIndex), Warning,
-			"energy headroom is only %.2fx (window %.3g J over costliest op %.3g J); below the %.2gx margin", rep.Headroom, rep.WindowJ, rep.MaxOpJ, p.Opts.MinHeadroom)
 	}
 }

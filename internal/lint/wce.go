@@ -6,21 +6,22 @@ import (
 	"mouse/internal/energy"
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
+	"mouse/internal/power"
 )
 
 // The worst-case-energy (WCE) pass: the paper's non-termination hazard
-// (Section I) as a decidable per-region check. The energy rule bounds a
-// single instruction against the discharge window — sufficient under
-// MOUSE's per-instruction checkpointing, where one instruction is the
-// unit of atomic progress. Under a thinned checkpoint interval the unit
-// of progress is a whole region: if a region's restore-plus-execute cost
-// exceeds one full discharge, the device crashes mid-region on every
-// attempt, replays from the region start, and livelocks even though
-// every individual instruction fits. Certify folds the energy model
-// over each region, upper-bounding activation-dependent costs with the
-// interpreter's abstract activation state, and emits a certificate that
-// either proves every region completes within one charge cycle or names
-// the regions that cannot.
+// (Section I) as a decidable per-region check, and the repo's one static
+// forward-progress verdict. The unit of atomic progress is a checkpoint
+// region — one instruction under MOUSE's per-instruction checkpointing,
+// k instructions under a thinned interval. If a region's
+// restore-plus-execute cost exceeds one full discharge, the device
+// crashes mid-region on every attempt, replays from the region start,
+// and livelocks. Certify folds the energy model over each region,
+// upper-bounding activation-dependent costs with the interpreter's
+// abstract activation state, and emits a certificate that either proves
+// every region completes within one charge cycle or names the regions
+// that cannot. The simulator's runtime guard (sim.ErrNonTermination)
+// tests the same inequality.
 
 // CertSchema identifies the certificate JSON layout.
 const CertSchema = "mouse-wce/v1"
@@ -109,7 +110,7 @@ func certify(it *interp, opts Options) *Certificate {
 		Schema:      CertSchema,
 		Config:      cfg.Name,
 		CapF:        cfg.CapC,
-		WindowJ:     0.5 * cfg.CapC * (cfg.CapVMax*cfg.CapVMax - cfg.CapVMin*cfg.CapVMin),
+		WindowJ:     power.EnergyAboveOf(cfg.CapC, cfg.CapVMax, cfg.CapVMin),
 		Interval:    it.cfg.Interval,
 		Geometry:    opts.Geometry,
 		Feasible:    true,
@@ -174,34 +175,42 @@ func certifyRegion(it *interp, m *energy.Model, reg Region) RegionCert {
 
 // checkWCE is the rule wrapper over Certify: it re-uses the pass's
 // fixpoint solution and reports each infeasible region as an error (the
-// program livelocks there) and thin headroom as a warning. Per-region
-// errors are capped; a program-level summary carries the total.
+// program livelocks there) and thin headroom as a warning, at every
+// checkpoint interval. Per-region findings of each severity are capped;
+// a program-level summary carries the total.
 func checkWCE(p *Pass) {
 	if !p.AllValid || len(p.Prog) == 0 {
 		return
 	}
 	cert := certify(p.interp(), p.Opts)
 	const maxReports = 8
-	infeasible := 0
+	infeasible, thin := 0, 0
 	for _, rc := range cert.Regions {
-		if rc.Feasible {
-			if rc.Headroom < p.Opts.MinHeadroom && p.Opts.CheckpointInterval > 1 {
+		switch {
+		case !rc.Feasible:
+			infeasible++
+			if infeasible <= maxReports {
+				p.Report("wce", rc.Start, Error,
+					"checkpoint region [%d,%d) cannot complete in one discharge window: worst-case energy %.3g J (restore %.3g J + execution) exceeds the %.3g J window, so the program livelocks here",
+					rc.Start, rc.End, rc.WCEJ, rc.RestoreJ, cert.WindowJ)
+			}
+		case rc.Headroom < p.Opts.MinHeadroom:
+			thin++
+			if thin <= maxReports {
 				p.Report("wce", rc.Start, Warning,
 					"checkpoint region [%d,%d) has only %.2fx energy headroom (window %.3g J over worst case %.3g J); below the %.2gx margin",
 					rc.Start, rc.End, rc.Headroom, cert.WindowJ, rc.WCEJ, p.Opts.MinHeadroom)
 			}
-			continue
-		}
-		infeasible++
-		if infeasible <= maxReports {
-			p.Report("wce", rc.Start, Error,
-				"checkpoint region [%d,%d) cannot complete in one discharge window: worst-case energy %.3g J (restore %.3g J + execution) exceeds the %.3g J window, so the program livelocks here",
-				rc.Start, rc.End, rc.WCEJ, rc.RestoreJ, cert.WindowJ)
 		}
 	}
 	if infeasible > maxReports {
 		p.Report("wce", -1, Error,
 			"%d of %d checkpoint regions exceed the %.3g J discharge window (first %d reported)",
 			infeasible, len(cert.Regions), cert.WindowJ, maxReports)
+	}
+	if thin > maxReports {
+		p.Report("wce", -1, Warning,
+			"%d of %d checkpoint regions have less than %.2gx energy headroom (first %d reported)",
+			thin, len(cert.Regions), p.Opts.MinHeadroom, maxReports)
 	}
 }

@@ -206,9 +206,9 @@ func (h *Harvester) Idle(dt float64) {
 
 // WindowEnergy returns the energy one full voltage-window discharge
 // supplies, ½C(VOn²−VOff²) — the budget the simulator's non-termination
-// guard compares single instructions against.
+// guard compares a restore plus one checkpoint region against.
 func (h *Harvester) WindowEnergy() float64 {
-	return 0.5 * h.Cap.C * (h.VOn*h.VOn - h.VOff*h.VOff)
+	return EnergyAboveOf(h.Cap.C, h.VOn, h.VOff)
 }
 
 // ConstantPlan is the closed-form arithmetic of a constant-source

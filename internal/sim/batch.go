@@ -15,7 +15,7 @@ import (
 // RunnerBatch executes one program over up to array.MaxLanes
 // independent input lanes. Under continuous power with no observers it
 // takes the bit-sliced fast path: the program is flattened once
-// (compile.Flatten), replayed once on a reused lane-sliced arena
+// (array.Flatten), replayed once on a reused lane-sliced arena
 // (array.BatchMachine.Replay) — every word operation advancing all
 // lanes — and the energy accounting is priced analytically, instruction
 // by instruction, with exactly the model calls MachineRunner's
@@ -205,7 +205,7 @@ func (r *RunnerBatch) priceContinuous() Result {
 	lastLevel := 0
 	pricer := newOpPricer(r.model)
 	// Per-tile active-column counts, mirroring Machine.ActivePairs: the
-	// width-filtered, deduplicated column sets compile.Flatten resolved.
+	// width-filtered, deduplicated column sets array.Flatten resolved.
 	tilePairs := make([]int, r.w.Tiles)
 	pairs := 0
 	for i := range r.w.Prog {

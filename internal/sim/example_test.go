@@ -35,20 +35,3 @@ func ExampleRunner_Run() {
 	// instructions=201 completed=true
 	// dead and restore are zero without outages: true
 }
-
-// ExampleCheckTermination statically verifies forward progress: every
-// instruction must fit within one energy-buffer discharge.
-func ExampleCheckTermination() {
-	cfg := mtj.ModernSTT()
-	m := energy.NewModel(cfg)
-	ops := []energy.Op{{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 1024}}
-	rep := sim.CheckTermination(&sim.SliceStream{Ops: ops}, m)
-	fmt.Println("makes forward progress:", rep.OK)
-
-	monster := []energy.Op{{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 1 << 30}}
-	rep = sim.CheckTermination(&sim.SliceStream{Ops: monster}, m)
-	fmt.Println("billion-column op fits:", rep.OK)
-	// Output:
-	// makes forward progress: true
-	// billion-column op fits: false
-}
