@@ -155,7 +155,7 @@ func CrossValidate(s Subject, cfg *mtj.Config, opts Options) (*CrossResult, erro
 	// stream eligible for the analytic segment engine, so this run also
 	// exercises the fast path...
 	h := power.NewHarvester(power.Constant{W: chargeWatts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-	runner := &sim.Runner{Model: model, MaxChargeWait: 24 * 3600}
+	runner := sim.NewRunner(model)
 	res, runErr := runner.Run(sim.StreamFromProgram(s.Prog, s.Tiles), h)
 	r.SimCompleted = runErr == nil && res.Completed
 	r.SimErr = runErr
@@ -163,7 +163,8 @@ func CrossValidate(s Subject, cfg *mtj.Config, opts Options) (*CrossResult, erro
 	// ...and the stepping engine must agree with it bit for bit on the
 	// very same stream (the simulator-internal differential).
 	hStep := power.NewHarvester(power.Constant{W: chargeWatts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-	stepper := &sim.Runner{Model: model, MaxChargeWait: 24 * 3600, ForceStepping: true}
+	stepper := sim.NewRunner(model)
+	stepper.ForceStepping = true
 	stepRes, stepErr := stepper.Run(sim.StreamFromProgram(s.Prog, s.Tiles), hStep)
 	switch {
 	case (runErr == nil) != (stepErr == nil),

@@ -95,7 +95,7 @@ func TestInfeasibleCapacitorAgreement(t *testing.T) {
 	model := energy.NewModel(&tiny)
 	model.RowBits = arithCols
 	h := power.NewHarvester(power.Constant{W: chargeWatts}, tiny.CapC, tiny.CapVMin, tiny.CapVMax)
-	r := &sim.Runner{Model: model, MaxChargeWait: 24 * 3600}
+	r := sim.NewRunner(model)
 	if _, err := r.Run(sim.StreamFromProgram(prog, 1), h); !errors.Is(err, sim.ErrNonTermination) {
 		t.Fatalf("simulator verdict disagrees with the certificate: err=%v", err)
 	}
@@ -132,7 +132,7 @@ func TestIntervalAgreementOnSmallBuffer(t *testing.T) {
 
 	model := energy.NewModel(&cfg)
 	model.RowBits = arithCols
-	runner := &sim.Runner{Model: model, MaxChargeWait: 24 * 3600}
+	runner := sim.NewRunner(model)
 	var vs []IntervalVerdict
 	done := make(chan struct{})
 	go func() {

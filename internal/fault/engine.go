@@ -142,7 +142,7 @@ func InjectStream(w StreamWorkload, g *Golden, p Point, obs probe.Observer) (Ver
 	}
 	windowJ := g.windowFor(p)
 	inj := NewInjector(windowJ, g.recoverW)
-	r := &sim.Runner{Model: w.Model, MaxChargeWait: 24 * 3600}
+	r := sim.NewRunner(w.Model)
 	r.Obs = inj
 	if probe.Enabled(obs) {
 		r.Obs = probe.Multi{inj, obs}
@@ -172,7 +172,7 @@ func GoldenStream(w StreamWorkload) (*Golden, error) {
 	if len(energies) == 0 {
 		return nil, fmt.Errorf("fault: %s has an empty stream", w.Name)
 	}
-	r := &sim.Runner{Model: w.Model, MaxChargeWait: 24 * 3600}
+	r := sim.NewRunner(w.Model)
 	res := r.RunContinuous(w.New())
 	g := &Golden{Result: res, Energies: energies}
 	g.prefix = prefixSums(energies)

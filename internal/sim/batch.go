@@ -5,7 +5,6 @@ import (
 
 	"mouse/internal/array"
 	"mouse/internal/controller"
-	"mouse/internal/energy"
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
 	"mouse/internal/power"
@@ -15,26 +14,25 @@ import (
 // RunnerBatch executes one program over up to array.MaxLanes
 // independent input lanes. Under continuous power with no observers it
 // takes the bit-sliced fast path: the program is flattened once
-// (array.Flatten), replayed once on a reused lane-sliced arena
-// (array.BatchMachine.Replay) — every word operation advancing all
-// lanes — and the energy accounting is priced analytically, instruction
-// by instruction, with exactly the model calls MachineRunner's
-// continuous path makes, so each lane's Result is bit-identical to a
-// sequential MachineRunner run of that lane.
+// (array.Flatten) and replayed once on a reused lane-sliced arena
+// (array.BatchMachine.Replay), every word operation advancing all
+// lanes. Continuous-power accounting does not depend on the data, so
+// the first batched Run prices the program once with
+// MachineRunner.Run(nil) on an unloaded machine and every lane reuses
+// that Result: it is bit-identical to a sequential MachineRunner run of
+// the lane.
 //
 // Intermittent execution has no batched form: an outage lands at one
 // lane's own µ-phase, the interrupted pulse integrates per cell, and
 // checkpoint/replay state is per machine. So any lane given a harvester
-// or an observer runs the untouched scalar path — a fresh machine, the
-// real controller, MachineRunner.Run — preserving checkpoint, replay,
-// and probe semantics per lane exactly as the single-sample runner
-// does.
+// or an observer runs the scalar path — a fresh machine, the real
+// controller, MachineRunner.Run — preserving checkpoint, replay, and
+// probe semantics per lane exactly as the single-sample runner does.
 type RunnerBatch struct {
 	cfg  *mtj.Config
 	w    BatchWorkload
 	flat *array.FlatProgram
 
-	model   *energy.Model
 	arena   *array.BatchMachine
 	scratch *array.Machine
 
@@ -87,15 +85,10 @@ func NewRunnerBatch(cfg *mtj.Config, w BatchWorkload) (*RunnerBatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := energy.NewModel(cfg)
-	// Price row transfers at the machine's actual row width, matching
-	// NewMachineRunner.
-	model.RowBits = w.Cols
 	return &RunnerBatch{
 		cfg:     cfg,
 		w:       w,
 		flat:    flat,
-		model:   model,
 		arena:   array.NewBatchMachine(w.Tiles, w.Rows, w.Cols),
 		scratch: array.NewMachine(cfg, w.Tiles, w.Rows, w.Cols),
 	}, nil
@@ -139,8 +132,12 @@ func (r *RunnerBatch) runBatched(lanes int, visit func(int, *array.Machine) erro
 		return nil, err
 	}
 	if !r.basePriced {
-		r.base = r.priceContinuous()
-		r.basePriced = true
+		m := array.NewMachine(r.cfg, r.w.Tiles, r.w.Rows, r.w.Cols)
+		base, err := NewMachineRunner(controller.New(controller.ProgramStore(r.w.Prog), m)).Run(nil)
+		if err != nil {
+			return nil, err
+		}
+		r.base, r.basePriced = base, true
 	}
 	out := make([]Result, lanes)
 	for lane := range out {
@@ -160,7 +157,7 @@ func (r *RunnerBatch) runBatched(lanes int, visit func(int, *array.Machine) erro
 }
 
 // runScalar is the per-lane fallback: fresh machine, real controller,
-// MachineRunner — the seed's intermittent execution path, untouched.
+// MachineRunner.
 func (r *RunnerBatch) runScalar(lanes int, opts *BatchRun) ([]Result, error) {
 	out := make([]Result, lanes)
 	for lane := 0; lane < lanes; lane++ {
@@ -191,58 +188,4 @@ func (r *RunnerBatch) runScalar(lanes int, opts *BatchRun) ([]Result, error) {
 		}
 	}
 	return out, nil
-}
-
-// priceContinuous reproduces MachineRunner.Run's continuous-power
-// accounting analytically: the same opPricer, the same Op for every
-// instruction (activation pairs tracked exactly as the machine's
-// latches evolve), accumulated in the same order — so the Result is bit
-// identical, float for float, to running one lane through the scalar
-// runner under nil harvester.
-func (r *RunnerBatch) priceContinuous() Result {
-	var b energy.Breakdown
-	dt := r.model.CycleTime()
-	lastLevel := 0
-	pricer := newOpPricer(r.model)
-	// Per-tile active-column counts, mirroring Machine.ActivePairs: the
-	// width-filtered, deduplicated column sets array.Flatten resolved.
-	tilePairs := make([]int, r.w.Tiles)
-	pairs := 0
-	for i := range r.w.Prog {
-		in := &r.w.Prog[i]
-		// Price before applying the instruction's own latch update —
-		// MachineRunner prices at Peek, before Step.
-		actCols := 0
-		if in.Kind == isa.KindAct {
-			// opFor counts the instruction's raw column list (not width
-			// filtered) times the tile fan-out.
-			actCols = len(in.ActiveColumns())
-			if in.Broadcast {
-				actCols *= r.w.Tiles
-			}
-		}
-		p := pricer.price(energy.OpOf(*in, pairs, actCols))
-		b.ComputeEnergy += p.compute
-		b.BackupEnergy += p.backup
-		b.OnLatency += dt
-		b.Instructions++
-		if p.level >= 0 && p.level != lastLevel {
-			b.LevelSwitches++
-			lastLevel = p.level
-		}
-		if in.Kind == isa.KindAct {
-			n := len(r.flat.Ops[i].Cols)
-			pairs = 0
-			for t := range tilePairs {
-				switch {
-				case in.Broadcast, t == int(in.Tile):
-					tilePairs[t] = n
-				default:
-					tilePairs[t] = 0
-				}
-				pairs += tilePairs[t]
-			}
-		}
-	}
-	return Result{Breakdown: b, Completed: true}
 }

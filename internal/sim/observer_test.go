@@ -154,8 +154,9 @@ func TestObserverDoesNotPerturbTraceRun(t *testing.T) {
 
 // TestNopObserverAddsNoAllocations verifies the disabled-probe
 // guarantee at its lowest level: attaching the Nop observer to the
-// trace engine adds zero allocations per run, on both the continuous
-// and the intermittent path, compared to no observer at all.
+// trace engine or to MachineRunner adds zero allocations per run, on
+// both the continuous and the intermittent path, compared to no
+// observer at all.
 func TestNopObserverAddsNoAllocations(t *testing.T) {
 	cfg := mtj.ModernSTT()
 	ops := randomOps(rand.New(rand.NewSource(5)), 300)
@@ -181,6 +182,31 @@ func TestNopObserverAddsNoAllocations(t *testing.T) {
 	r.Obs = probe.Nop{}
 	if got := testing.AllocsPerRun(20, runInt); got != baseInt {
 		t.Errorf("intermittent: Nop observer adds allocations: %v -> %v allocs/run", baseInt, got)
+	}
+
+	for _, harvested := range []bool{false, true} {
+		runMachine := func(obs probe.Observer) func() {
+			return func() {
+				c, _ := funcRig(cfg)
+				mr := NewMachineRunner(c)
+				mr.Obs = obs
+				var h *power.Harvester
+				if harvested {
+					h = power.NewHarvester(power.Constant{W: 4e-6}, 1e-9, cfg.CapVMin, cfg.CapVMax)
+				}
+				res, err := mr.Run(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if harvested && res.Restarts == 0 {
+					t.Fatal("harvested machine run saw no outages")
+				}
+			}
+		}
+		base := testing.AllocsPerRun(20, runMachine(nil))
+		if got := testing.AllocsPerRun(20, runMachine(probe.Nop{})); got != base {
+			t.Errorf("machine (harvested=%v): Nop observer adds allocations: %v -> %v allocs/run", harvested, base, got)
+		}
 	}
 }
 

@@ -6,20 +6,31 @@
 // the buffer empties, recharges, restores its active columns, and
 // re-performs the interrupted instruction.
 //
-// Two layers share the engine:
+// Two layers share one stepping loop (Runner.step), which alone prices,
+// draws, interrupts, charges and restores; a nil harvester is
+// continuous power on the loop's own clock:
 //
-//   - The trace layer (Run/RunContinuous) consumes an OpStream of
-//     (instruction kind, activity) events — this is how the paper-scale
-//     benchmarks execute, mirroring the authors' analytic R simulator.
-//     One stepping loop serves Run and RunWithCheckpointInterval (the
-//     §IV-D ablation, where an outage re-performs every instruction
-//     since the last checkpoint); the analytic segment engine
-//     (segment.go) is Run's bit-identical fast path for constant
-//     sources.
+//   - The trace layer (Run/RunContinuous/RunWithCheckpointInterval)
+//     consumes an OpStream of (instruction kind, activity) events — this
+//     is how the paper-scale benchmarks execute, mirroring the authors'
+//     analytic R simulator. RunWithCheckpointInterval is the §IV-D
+//     ablation, where an outage re-performs every instruction since the
+//     last checkpoint. The analytic segment engine (segment.go) is Run's
+//     bit-identical fast path for constant sources, with the stepping
+//     loop as its oracle.
 //   - The functional layer (MachineRunner) drives a real
-//     controller.Controller over a bit-accurate array.Machine, injecting
-//     outages at the exact µ-phase the energy ran out, so small end-to-end
-//     inferences demonstrably survive real interruption.
+//     controller.Controller over a bit-accurate array.Machine through
+//     the same loop, injecting outages at the exact µ-phase the energy
+//     ran out, so small end-to-end inferences demonstrably survive real
+//     interruption.
+//
+// The layers differ in one rule: a restart re-latches the columns of
+// the last committed ACT (trace) or of the ACT held in the controller's
+// non-volatile register (functional). An ACT commits that register
+// before its PC, so after an outage at frac >= 0.90 of an ACT the
+// functional layer restores the interrupted ACT's columns and the trace
+// layer the previous ACT's. Everywhere else the layers return equal
+// Results.
 //
 // Accounting convention (following the paper's EH-model usage): an
 // instruction's first-attempt commit is Compute (plus Backup) energy;
@@ -41,6 +52,7 @@ import (
 
 	"mouse/internal/energy"
 	"mouse/internal/isa"
+	"mouse/internal/mtj"
 	"mouse/internal/power"
 	"mouse/internal/probe"
 )
@@ -147,42 +159,18 @@ type Result struct {
 }
 
 // RunContinuous executes the stream under continuous power: no outages,
-// no Dead/Restore costs (Section IX, Table IV).
+// no Dead/Restore costs (Section IX, Table IV). It is the stepping loop
+// with no harvester.
 func (r *Runner) RunContinuous(s OpStream) Result {
-	s.Reset()
-	var b energy.Breakdown
-	dt := r.Model.CycleTime()
-	lastLevel := 0
-	active := probe.Enabled(r.Obs)
-	now := 0.0
-	for {
-		op, ok := s.Next()
-		if !ok {
-			break
-		}
-		b.ComputeEnergy += r.Model.Energy(op)
-		b.BackupEnergy += r.Model.Backup(op)
-		b.OnLatency += dt
-		b.Instructions++
-		if active {
-			now += dt
-			r.Obs.InstrRetired(probe.Instr{
-				T: now, Dur: dt, Kind: op.Kind, Gate: op.Gate, Tile: -1,
-				Energy: r.Model.Energy(op), Backup: r.Model.Backup(op),
-			})
-		}
-		if lv := r.Model.Level(op); lv >= 0 && lv != lastLevel {
-			b.LevelSwitches++
-			lastLevel = lv
-		}
-	}
-	return Result{Breakdown: b, Completed: true}
+	res, _ := r.stepStream(s, nil, 1)
+	return res
 }
 
 // Run executes the stream under the harvested supply h, applying the
 // shutdown/restore/re-execute protocol on every outage. The stream's
 // activation state is tracked so Restore is priced by the number of
-// columns that must be re-latched.
+// columns that must be re-latched. A nil h is continuous power, as in
+// RunContinuous.
 //
 // When the stream can describe itself as runs (RunStream), the source
 // is constant, and no observer or voltage sampling is attached, Run
@@ -197,7 +185,7 @@ func (r *Runner) Run(s OpStream, h *power.Harvester) (Result, error) {
 			return r.runSegments(rs, h, plan)
 		}
 	}
-	return r.step(s, h, 1)
+	return r.stepStream(s, h, 1)
 }
 
 // RunWithCheckpointInterval executes the stream under harvester h, but
@@ -228,7 +216,7 @@ func (r *Runner) RunWithCheckpointInterval(s OpStream, h *power.Harvester, inter
 	if interval < 1 {
 		return Result{}, fmt.Errorf("%w (got %d)", ErrBadInterval, interval)
 	}
-	return r.step(s, h, interval)
+	return r.stepStream(s, h, interval)
 }
 
 // regionOp is an instruction committed since the last checkpoint, with
@@ -256,19 +244,166 @@ func nonTermination(need, window float64) error {
 	return fmt.Errorf("%w (restore plus region need %.3g J net of harvest, window holds %.3g J)", ErrNonTermination, need, window)
 }
 
-// step is the per-instruction intermittent loop behind Run (k = 1) and
-// RunWithCheckpointInterval (checkpoint every k instructions).
-func (r *Runner) step(s OpStream, h *power.Harvester, k int) (res Result, err error) {
-	// A stream left mid-position by a previous failed run (for example
-	// after ErrNonTermination) must not silently execute only a suffix
-	// on reuse: every run starts from the beginning, and a failed run
-	// rewinds the stream again on the way out.
-	s.Reset()
-	defer func() {
-		if err != nil {
-			s.Reset()
+// priced is one Op's cycle cost, cached per Run: compute energy, backup
+// energy, and converter level.
+type priced struct {
+	compute, backup float64
+	level           int
+}
+
+// opPricer caches the energy model's per-Op answers for the duration of
+// one run. A program prices only a handful of distinct Ops (one per gate
+// at the current activation width, plus the memory and ACT shapes), but
+// the run loop consults the model for every instruction of every
+// restart; hashing Ops through a map was itself a hot spot, so the cache
+// is direct-indexed — one slot per gate keyed by the pair count, and one
+// slot per remaining kind. Cached values are the Model's own outputs, so
+// accounting stays bit-identical to calling the Model each cycle.
+type opPricer struct {
+	m *energy.Model
+
+	logic      [mtj.NumGates]priced
+	logicPairs [mtj.NumGates]int // -1 = empty
+
+	preset      priced
+	presetPairs int // -1 = empty
+
+	act     priced
+	actCols int // -1 = empty
+
+	read, write, other       priced
+	readOK, writeOK, otherOK bool
+}
+
+func newOpPricer(m *energy.Model) *opPricer {
+	p := &opPricer{m: m, presetPairs: -1, actCols: -1}
+	for i := range p.logicPairs {
+		p.logicPairs[i] = -1
+	}
+	return p
+}
+
+func (p *opPricer) compute(op energy.Op) priced {
+	return priced{
+		compute: p.m.Energy(op),
+		backup:  p.m.Backup(op),
+		level:   p.m.Level(op),
+	}
+}
+
+func (p *opPricer) price(op energy.Op) priced {
+	switch op.Kind {
+	case isa.KindLogic:
+		if p.logicPairs[op.Gate] != op.ActivePairs {
+			p.logic[op.Gate] = p.compute(op)
+			p.logicPairs[op.Gate] = op.ActivePairs
 		}
-	}()
+		return p.logic[op.Gate]
+	case isa.KindPreset:
+		if p.presetPairs != op.ActivePairs {
+			p.preset = p.compute(op)
+			p.presetPairs = op.ActivePairs
+		}
+		return p.preset
+	case isa.KindAct:
+		if p.actCols != op.ActCols {
+			p.act = p.compute(op)
+			p.actCols = op.ActCols
+		}
+		return p.act
+	case isa.KindRead:
+		if !p.readOK {
+			p.read = p.compute(op)
+			p.readOK = true
+		}
+		return p.read
+	case isa.KindWrite:
+		if !p.writeOK {
+			p.write = p.compute(op)
+			p.writeOK = true
+		}
+		return p.write
+	default:
+		// Every remaining kind prices as fetch-only with the common
+		// backup cost and no array bias level.
+		if !p.otherOK {
+			p.other = p.compute(op)
+			p.otherOK = true
+		}
+		return p.other
+	}
+}
+
+// target is the machine step drives: the trace layer's operation
+// stream (streamTarget) or the functional layer's controller
+// (controllerTarget). Each keeps its own restore-column rule.
+type target interface {
+	// peek returns the upcoming instruction's Op and the tile its
+	// events name (-1 for none), or ok=false at program end. A stream
+	// returns the same instruction until commit; the controller
+	// re-fetches at its PC, so a restart's sensor-window rewind takes
+	// effect.
+	peek() (op energy.Op, tile int, ok bool)
+	// commit executes the peeked instruction in full; done reports
+	// that the program has ended.
+	commit() (done bool, err error)
+	// interrupt cuts the peeked instruction at fraction frac of its
+	// cycle.
+	interrupt(frac float64) error
+	// restoreCols is the column count a restart re-latches, given the
+	// columns of the last committed ACT.
+	restoreCols(committed int) int
+	// restart reboots the machine once the recharge and restore are
+	// paid: its volatile state is lost and the stored ACT re-issued.
+	restart() error
+}
+
+// streamTarget drives an OpStream. A restart re-latches the columns of
+// the last committed ACT.
+type streamTarget struct {
+	s    OpStream
+	op   energy.Op
+	held bool
+}
+
+func (t *streamTarget) peek() (energy.Op, int, bool) {
+	if !t.held {
+		op, ok := t.s.Next()
+		if !ok {
+			return op, -1, false
+		}
+		t.op, t.held = op, true
+	}
+	return t.op, -1, true
+}
+
+func (t *streamTarget) commit() (bool, error) {
+	t.held = false
+	return false, nil
+}
+
+func (*streamTarget) interrupt(float64) error       { return nil }
+func (*streamTarget) restoreCols(committed int) int { return committed }
+func (*streamTarget) restart() error                { return nil }
+
+// stepStream runs step over a stream. A stream left mid-position by a
+// previous failed run (for example after ErrNonTermination) must not
+// silently execute only a suffix on reuse: every run starts from the
+// beginning, and a failed run rewinds the stream again on the way out.
+func (r *Runner) stepStream(s OpStream, h *power.Harvester, k int) (Result, error) {
+	s.Reset()
+	res, err := r.step(&streamTarget{s: s}, h, k)
+	if err != nil {
+		s.Reset()
+	}
+	return res, err
+}
+
+// step is the per-instruction intermittent loop behind both layers: Run
+// (k = 1), RunWithCheckpointInterval (checkpoint every k instructions),
+// RunContinuous and MachineRunner.Run. A nil h is continuous power on
+// step's own clock. Only a stream target may take k > 1.
+func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 	// Accounting is window-local: each outage-to-outage window folds
 	// into acc and flushes into b when the window closes (restore
 	// complete, error, or stream end). The per-window sums are therefore
@@ -285,36 +420,43 @@ func (r *Runner) step(s OpStream, h *power.Harvester, k int) (res Result, err er
 		return Result{Breakdown: b, Replays: replays}, err
 	}
 	dt := r.Model.CycleTime()
-	window := 0.0 // non-termination budget, invariant across outages
-	if h.Cap != nil {
-		window = h.WindowEnergy()
-	}
+	pricer := newOpPricer(r.Model)
 	lastLevel := 0
-	activeCols := 0 // columns the most recent ACT latched
+	activeCols := 0 // columns the last committed ACT latched
 	active := probe.Enabled(r.Obs)
+	now := 0.0 // continuous-power clock; h.Now() rules when h != nil
 	// The instructions committed since the last checkpoint; always empty
 	// at k = 1. An outage re-performs all of them.
 	var region []regionOp
 
-	// Initial charge from an empty (or partial) buffer.
-	if active {
-		r.Obs.OutageBegin(h.Now())
-	}
-	off, err := h.ChargeUntilOn(r.MaxChargeWait)
-	if err != nil {
-		return fail(err)
-	}
-	b.OffLatency += off
-	if active {
-		r.Obs.OutageEnd(h.Now(), off)
+	window := 0.0 // non-termination budget, invariant across outages
+	if h != nil {
+		// Initial charge from an empty (or partial) buffer.
+		if active {
+			r.Obs.OutageBegin(h.Now())
+		}
+		off, err := h.ChargeUntilOn(r.MaxChargeWait)
+		if err != nil {
+			return fail(err)
+		}
+		b.OffLatency += off
+		if active {
+			r.Obs.OutageEnd(h.Now(), off)
+		}
+		// A successful charge means the harvester validated, so Cap is
+		// non-nil.
+		window = h.WindowEnergy()
 	}
 
 	// outage handles a power failure that cut a draw of c joules at
 	// fraction frac: the partial work is Dead. Unless the restore plus
 	// the region through the pending instruction (pend joules) can never
-	// fit one discharge window, it recharges and restores the active
-	// columns, which closes the accounting window.
+	// fit one discharge window, it recharges, restores the target's
+	// columns and restarts it, which closes the accounting window.
 	outage := func(kind isa.Kind, c, frac, pend float64) error {
+		if err := t.interrupt(frac); err != nil {
+			return err
+		}
 		acc.DeadEnergy += c * frac
 		acc.DeadLatency += dt * frac
 		acc.OnLatency += dt * frac
@@ -324,7 +466,8 @@ func (r *Runner) step(s OpStream, h *power.Harvester, k int) (res Result, err er
 				T: h.Now(), Frac: frac, Kind: kind, Lost: c * frac,
 			})
 		}
-		rc := r.Model.Restore(activeCols)
+		cols := t.restoreCols(activeCols)
+		rc := r.Model.Restore(cols)
 		hc := h.Src.Power(h.Now()) * dt
 		need := drain(rc, hc) + drain(pend, hc)
 		for _, p := range region {
@@ -344,54 +487,40 @@ func (r *Runner) step(s OpStream, h *power.Harvester, k int) (res Result, err er
 		if active {
 			r.Obs.OutageEnd(h.Now(), off)
 		}
-		if err := r.restore(h, rc, activeCols, dt, &acc); err != nil {
+		if err := r.restore(h, rc, cols, dt, &acc); err != nil {
+			return err
+		}
+		if err := t.restart(); err != nil {
 			return err
 		}
 		flush()
 		return nil
 	}
 
+	// Per the paper's EH-model accounting, the re-execution of an
+	// interrupted instruction is Dead energy ("repeating the last
+	// instruction on restart"), as is the partial energy the failed
+	// attempt spent.
+	retry := false
 	for {
-		op, ok := s.Next()
+		op, tile, ok := t.peek()
 		if !ok {
 			break
 		}
-		// Price the instruction once per attempt loop. The region's last
-		// instruction pays the checkpoint (its Backup) in the same draw.
+		// The region's last instruction pays the checkpoint (its Backup)
+		// in the same draw.
 		last := len(region)+1 == k
-		ec, bk := r.Model.Energy(op), 0.0
+		p := pricer.price(op)
+		ec, bk := p.compute, 0.0
 		if last {
-			bk = r.Model.Backup(op)
+			bk = p.backup
 		}
 		e := ec + bk
-		// Attempt until the instruction commits. Per the paper's EH-model
-		// accounting, the re-execution of an interrupted instruction is
-		// Dead energy ("repeating the last instruction on restart"), as
-		// is the partial energy the failed attempt spent.
-		retry := false
-		for {
-			frac := h.Draw(dt, e)
-			if frac >= 1 {
-				if retry {
-					acc.DeadEnergy += ec
-					acc.DeadLatency += dt
-					replays++
-				} else {
-					acc.ComputeEnergy += ec
-				}
-				acc.BackupEnergy += bk
-				acc.OnLatency += dt
-				acc.Instructions++
-				if active {
-					r.Obs.InstrRetired(probe.Instr{
-						T: h.Now(), Dur: dt, Kind: op.Kind, Gate: op.Gate,
-						Tile:   -1,
-						Energy: ec, Backup: bk,
-						Replay: retry,
-					})
-				}
-				break
-			}
+		frac := 1.0
+		if h != nil {
+			frac = h.Draw(dt, e)
+		}
+		if frac < 1 {
 			retry = true
 			if err := outage(op.Kind, e, frac, e); err != nil {
 				return fail(err)
@@ -399,41 +528,73 @@ func (r *Runner) step(s OpStream, h *power.Harvester, k int) (res Result, err er
 			// Roll back to the checkpoint: re-perform the region as Dead
 			// work; an outage restarts the re-run.
 			for i := 0; i < len(region); {
-				p := region[i]
-				if f := h.Draw(dt, p.e); f < 1 {
-					if err := outage(p.op.Kind, p.e, f, e); err != nil {
+				q := region[i]
+				if f := h.Draw(dt, q.e); f < 1 {
+					if err := outage(q.op.Kind, q.e, f, e); err != nil {
 						return fail(err)
 					}
 					i = 0
 					continue
 				}
-				acc.DeadEnergy += p.e
+				acc.DeadEnergy += q.e
 				acc.DeadLatency += dt
 				acc.OnLatency += dt
 				replays++
 				if active {
 					r.Obs.InstrRetired(probe.Instr{
-						T: h.Now(), Dur: dt, Kind: p.op.Kind, Gate: p.op.Gate,
-						Tile: -1, Energy: p.e, Replay: true,
+						T: h.Now(), Dur: dt, Kind: q.op.Kind, Gate: q.op.Gate,
+						Tile: -1, Energy: q.e, Replay: true,
 					})
 				}
-				if p.op.Kind == isa.KindAct {
-					activeCols = p.op.ActCols
+				if q.op.Kind == isa.KindAct {
+					activeCols = q.op.ActCols
 				}
 				i++
 			}
+			continue
 		}
+		done, err := t.commit()
+		if err != nil {
+			return fail(err)
+		}
+		if retry {
+			acc.DeadEnergy += ec
+			acc.DeadLatency += dt
+			replays++
+		} else {
+			acc.ComputeEnergy += ec
+		}
+		acc.BackupEnergy += bk
+		acc.OnLatency += dt
+		acc.Instructions++
+		if active {
+			now += dt
+			ts := now
+			if h != nil {
+				ts = h.Now()
+			}
+			r.Obs.InstrRetired(probe.Instr{
+				T: ts, Dur: dt, Kind: op.Kind, Gate: op.Gate,
+				Tile:   tile,
+				Energy: ec, Backup: bk,
+				Replay: retry,
+			})
+		}
+		retry = false
 		if op.Kind == isa.KindAct {
 			activeCols = op.ActCols
 		}
-		if lv := r.Model.Level(op); lv >= 0 && lv != lastLevel {
+		if p.level >= 0 && p.level != lastLevel {
 			acc.LevelSwitches++
-			lastLevel = lv
+			lastLevel = p.level
 		}
 		if last {
 			region = region[:0]
 		} else {
 			region = append(region, regionOp{op, ec})
+		}
+		if done {
+			break
 		}
 	}
 	flush()
