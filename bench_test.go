@@ -127,45 +127,82 @@ func BenchmarkFig9SweepParallel(b *testing.B) { benchmarkFig9Sweep(b, 0) }
 // sweep, single worker): the intermittent-path speedup the segment
 // engine delivers, tracked so engine regressions show up in
 // `go test -bench Fig9Row`. Both variants compute bit-identical
-// Results; only the engine differs.
-func benchmarkFig9Row(b *testing.B, force bool) {
-	cfg := mtj.ModernSTT()
-	model := energy.NewModel(cfg)
-	spec := workload.Benchmarks()[0] // SVM MNIST
-	powers := bench.Powers()
-	var restarts uint64
-	for i := 0; i < b.N; i++ {
-		restarts = 0
-		if force {
-			for _, watts := range powers {
-				r := sim.NewRunner(model)
-				r.ForceStepping = true
-				h := power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-				res, err := r.Run(spec.Stream(), h)
-				if err != nil {
-					b.Fatal(err)
+// Results; only the engine differs. TestSegmentThroughputRegression
+// gates the same body on every benchmark's row.
+func fig9Row(spec workload.Spec, force bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		cfg := mtj.ModernSTT()
+		model := energy.NewModel(cfg)
+		powers := bench.Powers()
+		var restarts uint64
+		for i := 0; i < b.N; i++ {
+			restarts = 0
+			if force {
+				for _, watts := range powers {
+					r := sim.NewRunner(model)
+					r.ForceStepping = true
+					h := power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
+					res, err := r.Run(spec.Stream(), h)
+					if err != nil {
+						b.Fatal(err)
+					}
+					restarts += res.Restarts
 				}
-				restarts += res.Restarts
-			}
-		} else {
-			hs := make([]*power.Harvester, len(powers))
-			for j, watts := range powers {
-				hs[j] = power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-			}
-			results, errs := sim.NewRunner(model).RunSweep(spec.Stream(), hs)
-			for j, err := range errs {
-				if err != nil {
-					b.Fatal(err)
+			} else {
+				hs := make([]*power.Harvester, len(powers))
+				for j, watts := range powers {
+					hs[j] = power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 				}
-				restarts += results[j].Restarts
+				results, errs := sim.NewRunner(model).RunSweep(spec.Stream(), hs)
+				for j, err := range errs {
+					if err != nil {
+						b.Fatal(err)
+					}
+					restarts += results[j].Restarts
+				}
 			}
 		}
+		b.ReportMetric(float64(restarts), "restarts")
 	}
-	b.ReportMetric(float64(restarts), "restarts")
 }
 
-func BenchmarkFig9RowStepping(b *testing.B) { benchmarkFig9Row(b, true) }
-func BenchmarkFig9RowSegment(b *testing.B)  { benchmarkFig9Row(b, false) }
+// The SVM MNIST row: the grid's most restart-heavy benchmark.
+func BenchmarkFig9RowStepping(b *testing.B) { fig9Row(workload.Benchmarks()[0], true)(b) }
+func BenchmarkFig9RowSegment(b *testing.B)  { fig9Row(workload.Benchmarks()[0], false)(b) }
+
+// --- Batch inference: bit-sliced replay vs the sequential path -----------
+
+// hotBatch is the body of one hot workload's batch benchmark at the full
+// array.MaxLanes width: each op classifies one full batch of samples,
+// on the bit-sliced engine or (batched false) on the sequential
+// controller path. TestBatchThroughputRegression gates the ratio.
+func hotBatch(hb workload.HotBatch, batched bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		newClassifier := hb.NewSequential
+		if batched {
+			newClassifier = hb.NewBatched
+		}
+		classify, err := newClassifier()
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples := hb.Samples(array.MaxLanes * hb.LaneWidth)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := classify(samples); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/inference")
+	}
+}
+
+func BenchmarkHotBatch(b *testing.B) {
+	for _, hb := range workload.HotBatches() {
+		b.Run(hb.Name+"/sequential", hotBatch(hb, false))
+		b.Run(hb.Name+"/batched", hotBatch(hb, true))
+	}
+}
 
 // --- Figs. 10–12: breakdowns at 60 µW --------------------------------------
 

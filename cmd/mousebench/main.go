@@ -5,11 +5,14 @@
 //
 //	mousebench [-experiment all|table1|table2|table3|table4|fig9|fig10|fig11|fig12|
 //	            crossover|robustness|checkpoint|parallelism|fft|batch|segment|fleet]
-//	           [-batch N] [-fleet] [-parallel N] [-json] [-telemetry] [-progress]
+//	           [-parallel N] [-json] [-telemetry] [-progress]
 //	           [-out FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Each experiment prints the same rows or series the paper reports; see
-// EXPERIMENTS.md for the paper-vs-measured comparison. Grid-shaped
+// EXPERIMENTS.md for the paper-vs-measured comparison. Every experiment
+// is computed once into a report; tables and -json are two renderings
+// of the same rows, and the rows hold simulation output only (host
+// speeds are measured by `go test -bench` and perfbench). Grid-shaped
 // experiments run on a worker pool bounded by -parallel (default: one
 // worker per CPU); results are identical at any parallelism. -json
 // replaces the tables with a machine-readable report (schema documented
@@ -26,18 +29,6 @@
 // and wall time) live on stderr while the run executes, leaving stdout
 // bytes untouched — useful when `-experiment all` takes a while and the
 // tables only appear at the end.
-//
-// -batch N runs only the batch-inference throughput experiment with N
-// bit-slice lanes (1–64): every hot workload is replayed through the
-// bit-sliced batch engine and timed against the sequential controller
-// path, reporting host ns/inference for both. Without the flag the
-// registry's batch experiment runs at the full 64 lanes.
-//
-// -fleet runs only the fleet serving experiment with its host-latency
-// percentiles included: every hot workload is served through an
-// internal/fleet inference fleet under continuous and harvested power,
-// reporting p50/p99/mean ms per request. The registry's fleet
-// experiment prints only the deterministic outcome counters.
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiments (CPU sampled across the run; heap captured at the end),
@@ -59,8 +50,6 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run")
-	batchLanes := flag.Int("batch", 0, "run only the batch throughput experiment with this many bit-slice lanes (1-64)")
-	fleetOnly := flag.Bool("fleet", false, "run only the fleet serving experiment, latency percentiles included")
 	parallel := flag.Int("parallel", 0, "sweep worker bound; 0 means one per CPU")
 	asJSON := flag.Bool("json", false, "emit a machine-readable report instead of tables")
 	telemetry := flag.Bool("telemetry", false, "collect run telemetry (replays, outages, energy by phase)")
@@ -89,14 +78,7 @@ func main() {
 	if *progress {
 		progressTo = os.Stderr
 	}
-	var runErr error
-	if *batchLanes != 0 {
-		runErr = bench.RunBatch(out, *batchLanes, *parallel, *asJSON)
-	} else if *fleetOnly {
-		runErr = bench.RunFleet(out, *parallel, *asJSON)
-	} else {
-		runErr = runExperiments(*experiment, out, progressTo, *parallel, *asJSON, *telemetry)
-	}
+	runErr := runExperiments(*experiment, out, progressTo, *parallel, *asJSON, *telemetry)
 	if err := stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "mousebench:", err)
 		os.Exit(1)
@@ -144,38 +126,32 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 	}, nil
 }
 
-// runExperiments executes the selected experiment (or all of them) with
-// the given sweep-worker bound, writing tables — or, with asJSON, the
-// structured report — to out. telemetry attaches a shared probe.Stats
-// to every simulation and reports its totals. A non-nil progressTo
-// receives one live line per experiment start/finish (the -progress
-// stderr feed); it never receives table or report bytes.
+// runExperiments builds the report of the selected experiment (or all
+// of them) with the given sweep-worker bound and writes it to out as
+// tables — or, with asJSON, as the structured report. telemetry
+// attaches a shared probe.Stats to every simulation and reports its
+// totals. A non-nil progressTo receives one live line per experiment
+// start/finish (the -progress stderr feed); it never receives table or
+// report bytes.
 func runExperiments(experiment string, out, progressTo io.Writer, workers int, asJSON, telemetry bool) error {
 	var prog bench.Progress
 	if progressTo != nil {
 		prog = bench.NewProgressWriter(progressTo)
 	}
-	if asJSON {
-		var rep *bench.Report
-		var err error
-		if telemetry {
-			rep, err = bench.BuildTelemetryReportProgress(experiment, workers, prog)
-		} else {
-			rep, err = bench.BuildReportProgress(experiment, workers, prog)
-		}
-		if err != nil {
-			return err
-		}
-		return rep.WriteJSON(out)
+	var obs []probe.Observer
+	stats := &probe.Stats{}
+	if telemetry {
+		obs = append(obs, stats)
+	}
+	rep, err := bench.BuildReport(experiment, workers, prog, obs...)
+	if err != nil {
+		return err
 	}
 	if telemetry {
-		stats := &probe.Stats{}
-		if err := bench.RunPrintedProgress(out, experiment, workers, prog, stats); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		fmt.Fprintln(out, "Telemetry — totals across every simulation above")
-		return stats.Section().WriteSummary(out)
+		rep.Telemetry = stats.Section()
 	}
-	return bench.RunPrintedProgress(out, experiment, workers, prog)
+	if asJSON {
+		return rep.WriteJSON(out)
+	}
+	return rep.WriteTables(out)
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -77,28 +79,24 @@ func TestOutputIsExactlyTheSelectedExperiment(t *testing.T) {
 	}
 }
 
-// TestDeterministicTables runs the full experiment suite twice, serial
-// and parallel, and requires byte-identical table output: goroutine
-// scheduling in the sweep engine must not leak into results.
+// TestDeterministicTables runs the full experiment suite serially and
+// in parallel and requires both table outputs to equal
+// testdata/tables.golden byte for byte: goroutine scheduling in the
+// sweep engine must not leak into results, and no change may move a
+// table without updating the golden.
 func TestDeterministicTables(t *testing.T) {
-	render := func(workers int) string {
+	want, err := os.ReadFile(filepath.Join("testdata", "tables.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
 		var out bytes.Buffer
 		if err := runExperiments("all", &out, nil, workers, false, false); err != nil {
 			t.Fatal(err)
 		}
-		return out.String()
-	}
-	serial := render(1)
-	again := render(1)
-	parallel := render(8)
-	if serial != again {
-		t.Errorf("two serial runs differ")
-	}
-	if serial != parallel {
-		t.Errorf("-parallel 8 output differs from -parallel 1")
-	}
-	if !strings.Contains(serial, "Fig. 12") || !strings.Contains(serial, "crossover") {
-		t.Errorf("full run missing experiments")
+		if got := out.String(); got != string(want) {
+			t.Errorf("-parallel %d tables differ from testdata/tables.golden:\n%s", workers, got)
+		}
 	}
 }
 
@@ -107,7 +105,7 @@ func TestDeterministicTables(t *testing.T) {
 // encodings byte-identical.
 func TestDeterministicJSONReports(t *testing.T) {
 	build := func(workers int) (*bench.Report, []byte) {
-		rep, err := bench.BuildReport("all", workers)
+		rep, err := bench.BuildReport("all", workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +165,7 @@ func TestProgressLeavesStdoutIdentical(t *testing.T) {
 // TestReportCarriesRunMeta checks the optional meta section: stamped by
 // report builds, stripped by Normalize.
 func TestReportCarriesRunMeta(t *testing.T) {
-	rep, err := bench.BuildReport("table2", 1)
+	rep, err := bench.BuildReport("table2", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,5 +200,39 @@ func TestJSONModeEmitsValidReport(t *testing.T) {
 	rows, ok := rep.Experiments[0].Rows.([]any)
 	if !ok || len(rows) != 6 {
 		t.Fatalf("table3 rows: %#v", rep.Experiments[0].Rows)
+	}
+}
+
+// TestTelemetryRendersOnce checks -telemetry in both modes: the report's
+// telemetry section and the table mode's summary block come from the one
+// probe.Stats the run shared, and the tables above it are unchanged.
+func TestTelemetryRendersOnce(t *testing.T) {
+	var plain, tables, report bytes.Buffer
+	if err := runExperiments("table4", &plain, nil, 1, false, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := runExperiments("table4", &tables, nil, 1, false, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := runExperiments("table4", &report, nil, 1, true, true); err != nil {
+		t.Fatal(err)
+	}
+	head, summary, ok := strings.Cut(tables.String(), "\nTelemetry — totals across every simulation above\n")
+	if !ok || head != plain.String() {
+		t.Fatalf("telemetry tables are not the plain tables plus one summary block:\n%s", tables.String())
+	}
+	var rep bench.Report
+	if err := json.Unmarshal(report.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Telemetry == nil || rep.Telemetry.Instructions == 0 {
+		t.Fatalf("report telemetry missing: %+v", rep.Telemetry)
+	}
+	var want bytes.Buffer
+	if err := rep.Telemetry.WriteSummary(&want); err != nil {
+		t.Fatal(err)
+	}
+	if summary != want.String() {
+		t.Errorf("table summary differs from the report's section:\n%s\nvs\n%s", summary, want.String())
 	}
 }

@@ -32,7 +32,7 @@ type RobustnessRow struct {
 // pool job per gate.
 func ComputeRobustness(workers int) []RobustnessRow {
 	n := int(mtj.NumGates)
-	rows, _ := runJobs(workers, n, func(i int) (RobustnessRow, error) {
+	rows, _ := Jobs(workers, n, func(i int) (RobustnessRow, error) {
 		g := mtj.GateKind(i)
 		return RobustnessRow{
 			Gate:      g,
@@ -44,20 +44,34 @@ func ComputeRobustness(workers int) []RobustnessRow {
 	return rows
 }
 
-// PrintRobustness renders the variation-tolerance study.
-func PrintRobustness(w io.Writer, workers int) {
+// PrintRobustness renders the variation-tolerance study. The
+// array-level limit of each configuration is its least tolerant gate,
+// picked from the rows as mtj.MinVariationTolerance picks it.
+func PrintRobustness(w io.Writer, rows []RobustnessRow) error {
 	fmt.Fprintln(w, "Robustness — tolerated MTJ resistance variation (±%), per gate (Section II-D)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "gate\tModern STT\tProjected STT\tSHE")
-	for _, r := range ComputeRobustness(workers) {
+	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\n", r.Gate, r.ModernSTT*100, r.ProjSTT*100, r.SHE*100)
 	}
-	tw.Flush()
-	mt, mg := mtj.MinVariationTolerance(mtj.ModernSTT())
-	pt, pg := mtj.MinVariationTolerance(mtj.ProjectedSTT())
-	st, sg := mtj.MinVariationTolerance(mtj.ProjectedSHE())
-	fmt.Fprintf(w, "array-level limits: Modern %.1f%% (%v), Projected %.1f%% (%v), SHE %.1f%% (%v)\n",
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	limit := func(tol func(RobustnessRow) float64) (float64, mtj.GateKind) {
+		best, worst := 1.0, mtj.GateKind(0)
+		for _, r := range rows {
+			if t := tol(r); t < best {
+				best, worst = t, r.Gate
+			}
+		}
+		return best, worst
+	}
+	mt, mg := limit(func(r RobustnessRow) float64 { return r.ModernSTT })
+	pt, pg := limit(func(r RobustnessRow) float64 { return r.ProjSTT })
+	st, sg := limit(func(r RobustnessRow) float64 { return r.SHE })
+	_, err := fmt.Fprintf(w, "array-level limits: Modern %.1f%% (%v), Projected %.1f%% (%v), SHE %.1f%% (%v)\n",
 		mt*100, mg, pt*100, pg, st*100, sg)
+	return err
 }
 
 // CheckpointRow is one point of the checkpoint-interval sweep.
@@ -75,7 +89,7 @@ func ComputeCheckpointSweep(cfg *mtj.Config, benchmark string, workers int, obs 
 		return nil, err
 	}
 	intervals := []int{1, 8, 64}
-	return runJobs(workers, len(intervals), func(i int) (CheckpointRow, error) {
+	return Jobs(workers, len(intervals), func(i int) (CheckpointRow, error) {
 		interval := intervals[i]
 		r := sim.NewRunner(energy.NewModel(cfg))
 		r.Obs = probe.First(obs)
@@ -88,12 +102,9 @@ func ComputeCheckpointSweep(cfg *mtj.Config, benchmark string, workers int, obs 
 	})
 }
 
-// PrintCheckpointSweep renders the checkpoint-interval ablation.
-func PrintCheckpointSweep(w io.Writer, cfg *mtj.Config, benchmark string, workers int, obs ...probe.Observer) error {
-	rows, err := ComputeCheckpointSweep(cfg, benchmark, workers, obs...)
-	if err != nil {
-		return err
-	}
+// PrintCheckpointSweep renders the checkpoint-interval ablation of
+// benchmark under cfg from its rows.
+func PrintCheckpointSweep(w io.Writer, cfg *mtj.Config, benchmark string, rows []CheckpointRow) error {
 	fmt.Fprintf(w, "Checkpoint-interval ablation — %s, %s at 60 µW (Section IV-D trade-off)\n", benchmark, cfg.Name)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "interval\ttotal E (µJ)\tbackup (µJ)\tdead (µJ)\tlatency (s)\trestarts")
@@ -136,14 +147,14 @@ func ComputeParallelism() []ParallelismRow {
 
 // PrintParallelism renders the power-budget parallelism limits
 // (Section IV-C: tuning power draw by adjusting parallelism).
-func PrintParallelism(w io.Writer) {
+func PrintParallelism(w io.Writer, rows []ParallelismRow) error {
 	fmt.Fprintln(w, "Parallelism budget — max simultaneously active columns per buffer discharge (Section IV-C)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "configuration\tno headroom\t2x headroom\tpeak power at that width")
-	for _, r := range ComputeParallelism() {
+	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d cols\t%d cols\t%.3g W\n", r.Config, r.FullCols, r.HeadroomCols, r.PeakPowerW)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // FFTRow is one row of the related-work FFT comparison (Section X).
@@ -163,7 +174,7 @@ func ComputeFFT(workers int, obs ...probe.Observer) ([]FFTRow, error) {
 		{System: "CRAFFT on CRAM [19]", LatencySec: fft.CRAFFTLatency},
 	}
 	cfgs := mtj.Configs()
-	mouseRows, err := runJobs(workers, len(cfgs), func(i int) (FFTRow, error) {
+	mouseRows, err := Jobs(workers, len(cfgs), func(i int) (FFTRow, error) {
 		cfg := cfgs[i]
 		s, err := fft.Stream(p)
 		if err != nil {
@@ -185,11 +196,7 @@ func ComputeFFT(workers int, obs ...probe.Observer) ([]FFTRow, error) {
 }
 
 // PrintFFT renders the FFT comparison.
-func PrintFFT(w io.Writer, workers int, obs ...probe.Observer) error {
-	rows, err := ComputeFFT(workers, obs...)
-	if err != nil {
-		return err
-	}
+func PrintFFT(w io.Writer, rows []FFTRow) error {
 	p := fft.MiBenchParams()
 	fmt.Fprintf(w, "Related-work FFT comparison — %s transform (Section X)\n", p)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

@@ -4,19 +4,16 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-	"time"
 
 	"mouse/internal/array"
 	"mouse/internal/workload"
 )
 
-// The batch throughput experiment: replay the hot inference workloads
+// The batch equivalence experiment: replay the hot inference workloads
 // (internal/workload's compile-once batch recipes) through the
-// bit-sliced engine at a chosen lane count and report host ns per
-// inference against the sequential controller path — the PR's headline
-// number, recorded in the BENCH_*.json trajectory. The experiment also
-// re-verifies batched-vs-sequential label equality inline: a speedup
-// with mismatches is not a result.
+// bit-sliced engine at a chosen lane count and check every batched
+// label against the sequential controller path. Its host throughput is
+// measured by `go test -bench HotBatch` in the root package.
 
 // BatchRow is one hot workload's batched-vs-sequential comparison.
 type BatchRow struct {
@@ -26,33 +23,20 @@ type BatchRow struct {
 	// Lanes times the mapping's column batch.
 	Lanes           int
 	SamplesPerBatch int
-	// Batches is the number of timed batched replays.
-	Batches int
 	// Mismatches counts batched labels that disagreed with the
 	// sequential path (always 0 on a correct engine).
 	Mismatches int
-	// NsSequential and NsBatched are host nanoseconds per inference on
-	// each path; Speedup is their ratio. All three are measured wall
-	// clock, so Normalize zeroes them.
-	NsSequential float64
-	NsBatched    float64
-	Speedup      float64
 }
 
-// batchTimedReplays fixes the timed batched-replay count so the row
-// shape is machine-independent.
-const batchTimedReplays = 8
-
-// ComputeBatch times every hot workload at the given lane count.
+// ComputeBatch checks every hot workload at the given lane count.
 // Workloads run as independent jobs on the sweep pool. The experiment
-// measures host throughput, not simulated energy, so it takes no
-// observer.
+// compares labels, not simulated energy, so it takes no observer.
 func ComputeBatch(lanes, workers int) ([]BatchRow, error) {
 	if lanes < 1 || lanes > array.MaxLanes {
 		return nil, fmt.Errorf("bench: batch lanes %d outside [1, %d]", lanes, array.MaxLanes)
 	}
 	hbs := workload.HotBatches()
-	return runJobs(workers, len(hbs), func(i int) (BatchRow, error) {
+	return Jobs(workers, len(hbs), func(i int) (BatchRow, error) {
 		return computeBatchRow(hbs[i], lanes)
 	})
 }
@@ -62,7 +46,6 @@ func computeBatchRow(hb workload.HotBatch, lanes int) (BatchRow, error) {
 		Workload:        hb.Name,
 		Lanes:           lanes,
 		SamplesPerBatch: lanes * hb.LaneWidth,
-		Batches:         batchTimedReplays,
 	}
 	batched, err := hb.NewBatched()
 	if err != nil {
@@ -76,14 +59,10 @@ func computeBatchRow(hb workload.HotBatch, lanes int) (BatchRow, error) {
 	if len(samples) != row.SamplesPerBatch {
 		return row, fmt.Errorf("bench: %s: sample pool came up short", hb.Name)
 	}
-
-	// Inline equivalence check (and warm-up for both paths).
-	start := time.Now()
 	want, err := sequential(samples)
 	if err != nil {
 		return row, fmt.Errorf("bench: %s sequential: %w", hb.Name, err)
 	}
-	seqSeconds := time.Since(start).Seconds()
 	got, err := batched(samples)
 	if err != nil {
 		return row, fmt.Errorf("bench: %s batched: %w", hb.Name, err)
@@ -93,77 +72,18 @@ func computeBatchRow(hb workload.HotBatch, lanes int) (BatchRow, error) {
 			row.Mismatches++
 		}
 	}
-
-	start = time.Now()
-	for b := 0; b < batchTimedReplays; b++ {
-		if _, err := batched(samples); err != nil {
-			return row, fmt.Errorf("bench: %s batched: %w", hb.Name, err)
-		}
-	}
-	batchSeconds := time.Since(start).Seconds()
-
-	row.NsSequential = seqSeconds * 1e9 / float64(len(samples))
-	row.NsBatched = batchSeconds * 1e9 / float64(batchTimedReplays*len(samples))
-	if row.NsBatched > 0 {
-		row.Speedup = row.NsSequential / row.NsBatched
-	}
 	return row, nil
 }
 
-// PrintBatch renders the timed experiment as a table (the mousebench
-// -batch view; host timings vary run to run, so this form is not part
-// of the deterministic-tables contract).
-func PrintBatch(w io.Writer, lanes, workers int) error {
-	rows, err := ComputeBatch(lanes, workers)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Batch inference throughput — %d bit-slice lanes, host ns/inference\n", lanes)
-	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tlanes\tsamples/batch\tns/inf seq\tns/inf batched\tspeedup\tmismatches")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.0f\t%.0f\t%.1fx\t%d\n",
-			r.Workload, r.Lanes, r.SamplesPerBatch, r.NsSequential, r.NsBatched, r.Speedup, r.Mismatches)
-	}
-	return tw.Flush()
-}
-
-// PrintBatchChecked renders the experiment's deterministic columns —
-// the registry's table view. Experiment tables must be byte-identical
-// across runs and parallelism, so the wall-clock throughput numbers
-// stay out; what remains is the simulation result: every hot workload's
-// batched labels matched sequential.
-func PrintBatchChecked(w io.Writer, lanes, workers int) error {
-	rows, err := ComputeBatch(lanes, workers)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Batch inference equivalence — %d bit-slice lanes (timings: mousebench -batch %d)\n", lanes, lanes)
+// PrintBatchChecked renders the experiment's rows, computed at lanes
+// bit-slice lanes: every hot workload's batched labels against
+// sequential.
+func PrintBatchChecked(w io.Writer, lanes int, rows []BatchRow) error {
+	fmt.Fprintf(w, "Batch inference equivalence — %d bit-slice lanes (timings: go test -bench HotBatch)\n", lanes)
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tlanes\tsamples/batch\tmismatches")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\n", r.Workload, r.Lanes, r.SamplesPerBatch, r.Mismatches)
 	}
 	return tw.Flush()
-}
-
-// RunBatch is the mousebench -batch entry point: the batch experiment
-// alone, at an explicit lane count, as a table or a one-experiment
-// report.
-func RunBatch(w io.Writer, lanes, workers int, asJSON bool) error {
-	if !asJSON {
-		return PrintBatch(w, lanes, workers)
-	}
-	start := time.Now()
-	rows, err := ComputeBatch(lanes, workers)
-	if err != nil {
-		return err
-	}
-	rep := &Report{
-		Schema: Schema, Tool: "mousebench", Parallelism: clampWorkers(workers, 1<<30),
-		Experiments: []ExperimentReport{{
-			Name: "batch", WallSeconds: time.Since(start).Seconds(), Rows: rows,
-		}},
-	}
-	return rep.WriteJSON(w)
 }

@@ -4,8 +4,8 @@
 // (continuous-power comparison), Fig. 9 (latency vs. power source), and
 // Figs. 10–12 (latency/energy breakdowns per configuration at 60 µW).
 // Each experiment has a Compute function returning structured rows
-// (consumed by tests and testing.B benchmarks) and a Print function
-// producing the human-readable table.
+// (consumed by reports, tests and testing.B benchmarks) and a Print
+// function formatting those rows as the human-readable table.
 package bench
 
 import (
@@ -80,16 +80,16 @@ func ComputeTableI(cfg *mtj.Config) []TableIRow {
 	return rows
 }
 
-// PrintTableI renders Table I.
-func PrintTableI(w io.Writer, cfg *mtj.Config) {
+// PrintTableI renders Table I's rows, computed under cfg.
+func PrintTableI(w io.Writer, cfg *mtj.Config, rows []TableIRow) error {
 	fmt.Fprintf(w, "Table I — re-performing an interrupted AND gate (%s)\n", cfg.Name)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "inputs\tswitched before interrupt\tfinal output\texpected\tsafe")
-	for _, r := range ComputeTableI(cfg) {
+	for _, r := range rows {
 		fmt.Fprintf(tw, "(%d,%d)\t%v\t%d\t%d\t%v\n",
 			r.InputA, r.InputB, r.SwitchedBeforeInterrupt, r.Output, r.Correct, r.Output == r.Correct)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // --- Table II ------------------------------------------------------------
@@ -116,14 +116,14 @@ func ComputeTableII() []TableIIRow {
 }
 
 // PrintTableII renders the MTJ device parameters (Table II).
-func PrintTableII(w io.Writer) {
+func PrintTableII(w io.Writer, rows []TableIIRow) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Table II — MTJ device parameters")
 	fmt.Fprintln(tw, "parameter\tmodern\tprojected")
-	for _, r := range ComputeTableII() {
+	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%.*f %s\t%.*f %s\n", r.Parameter, r.Decimals, r.Modern, r.Unit, r.Decimals, r.Proj, r.Unit)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // --- Table III -----------------------------------------------------------
@@ -153,14 +153,14 @@ func ComputeTableIII() []TableIIIRow {
 }
 
 // PrintTableIII renders Table III.
-func PrintTableIII(w io.Writer) {
+func PrintTableIII(w io.Writer, rows []TableIIIRow) error {
 	fmt.Fprintln(w, "Table III — area (mm²) per benchmark and configuration")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "benchmark\tmemory\tModern STT\tProjected STT\tSHE")
-	for _, r := range ComputeTableIII() {
+	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d MB\t%.2f\t%.2f\t%.2f\n", r.Benchmark, r.MemMB, r.ModernSTT, r.ProjSTT, r.SHE)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // --- Table IV ------------------------------------------------------------
@@ -186,7 +186,7 @@ type TableIVRow struct {
 func ComputeTableIV(workers int, obs ...probe.Observer) []TableIVRow {
 	cfg := mtj.ModernSTT()
 	specs := workload.Benchmarks()
-	rows, _ := runJobs(workers, len(specs), func(i int) (TableIVRow, error) {
+	rows, _ := Jobs(workers, len(specs), func(i int) (TableIVRow, error) {
 		s := specs[i]
 		r := sim.NewRunner(energy.NewModel(cfg))
 		r.Obs = probe.First(obs)
@@ -222,11 +222,11 @@ func ComputeTableIV(workers int, obs ...probe.Observer) []TableIVRow {
 }
 
 // PrintTableIV renders Table IV.
-func PrintTableIV(w io.Writer, workers int, obs ...probe.Observer) {
+func PrintTableIV(w io.Writer, rows []TableIVRow) error {
 	fmt.Fprintln(w, "Table IV — continuous power (MOUSE rows simulated; CPU/libSVM/SONIC rows from the paper)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "system\tbenchmark\tlatency (µs)\tenergy (µJ)\t#SV\tI/D mem (MB)\tarea (mm²)")
-	for _, r := range ComputeTableIV(workers, obs...) {
+	for _, r := range rows {
 		sv := "-"
 		if r.NumSV > 0 {
 			sv = fmt.Sprintf("%d", r.NumSV)
@@ -241,7 +241,7 @@ func PrintTableIV(w io.Writer, workers int, obs ...probe.Observer) {
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%.0f\t%.2f\t%s\t%s\t%s\n", r.System, r.Benchmark, r.LatencyUS, r.EnergyUJ, sv, mem, area)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // --- Fig. 9 --------------------------------------------------------------
@@ -263,7 +263,7 @@ func ComputeFig9(cfg *mtj.Config, powers []float64, workers int, obs ...probe.Ob
 	specs := workload.Benchmarks()
 	sonics := []func() *baseline.SONIC{baseline.SONICMNIST, baseline.SONICHAR}
 	n := (len(specs) + len(sonics)) * len(powers)
-	return runJobs(workers, n, func(i int) (Fig9Point, error) {
+	return Jobs(workers, n, func(i int) (Fig9Point, error) {
 		sys, p := i/len(powers), powers[i%len(powers)]
 		if sys < len(specs) {
 			s := specs[sys]
@@ -287,35 +287,62 @@ func ComputeFig9(cfg *mtj.Config, powers []float64, workers int, obs ...probe.Ob
 	})
 }
 
-// PrintFig9 renders the latency-vs-power series.
-func PrintFig9(w io.Writer, cfg *mtj.Config, workers int, obs ...probe.Observer) error {
-	points, err := ComputeFig9(cfg, Powers(), workers, obs...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Fig. 9 — latency (s) vs power source (%s)\n", cfg.Name)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "system")
-	for _, p := range Powers() {
-		fmt.Fprintf(tw, "\t%.3g W", p)
-	}
-	fmt.Fprintln(tw)
-	bySystem := map[string][]Fig9Point{}
-	var order []string
-	for _, pt := range points {
-		if _, seen := bySystem[pt.System]; !seen {
-			order = append(order, pt.System)
+// Fig9Sweep is one configuration's Fig. 9 power sweep in a report.
+type Fig9Sweep struct {
+	Config string
+	Points []Fig9Point
+}
+
+// computeFig9Sweeps runs ComputeFig9 over the Powers grid for every
+// configuration, in mtj.Configs order.
+func computeFig9Sweeps(workers int, obs ...probe.Observer) ([]Fig9Sweep, error) {
+	var sweeps []Fig9Sweep
+	for _, cfg := range mtj.Configs() {
+		points, err := ComputeFig9(cfg, Powers(), workers, obs...)
+		if err != nil {
+			return nil, err
 		}
-		bySystem[pt.System] = append(bySystem[pt.System], pt)
+		sweeps = append(sweeps, Fig9Sweep{Config: cfg.Name, Points: points})
 	}
-	for _, sys := range order {
-		fmt.Fprint(tw, sys)
-		for _, pt := range bySystem[sys] {
-			fmt.Fprintf(tw, "\t%.4g", pt.LatencySec)
+	return sweeps, nil
+}
+
+// PrintFig9 renders each configuration's latency-vs-power series,
+// separated by one blank line.
+func PrintFig9(w io.Writer, sweeps []Fig9Sweep) error {
+	for i, sweep := range sweeps {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "Fig. 9 — latency (s) vs power source (%s)\n", sweep.Config)
+		bySystem := map[string][]Fig9Point{}
+		var order []string
+		for _, pt := range sweep.Points {
+			if _, seen := bySystem[pt.System]; !seen {
+				order = append(order, pt.System)
+			}
+			bySystem[pt.System] = append(bySystem[pt.System], pt)
+		}
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		fmt.Fprint(tw, "system")
+		if len(order) > 0 {
+			for _, pt := range bySystem[order[0]] {
+				fmt.Fprintf(tw, "\t%.3g W", pt.Watts)
+			}
 		}
 		fmt.Fprintln(tw)
+		for _, sys := range order {
+			fmt.Fprint(tw, sys)
+			for _, pt := range bySystem[sys] {
+				fmt.Fprintf(tw, "\t%.4g", pt.LatencySec)
+			}
+			fmt.Fprintln(tw)
+		}
+		if err := tw.Flush(); err != nil {
+			return err
+		}
 	}
-	return tw.Flush()
+	return nil
 }
 
 // CrossoverPowerW returns the analytic power level at which FP-BNN's
@@ -325,7 +352,7 @@ func PrintFig9(w io.Writer, cfg *mtj.Config, workers int, obs ...probe.Observer)
 // above it FP-BNN's higher exploited parallelism wins.
 func CrossoverPowerW(cfg *mtj.Config, workers int, obs ...probe.Observer) (float64, error) {
 	names := []string{"SVM MNIST (Bin)", "BNN FPBNN MNIST"}
-	runs, err := runJobs(workers, len(names), func(i int) (sim.Result, error) {
+	runs, err := Jobs(workers, len(names), func(i int) (sim.Result, error) {
 		s, err := workload.ByName(names[i])
 		if err != nil {
 			return sim.Result{}, err
@@ -358,7 +385,7 @@ type BreakdownRow struct {
 // (the figures use 60 µW) under cfg, one pool job per benchmark.
 func ComputeBreakdown(cfg *mtj.Config, watts float64, workers int, obs ...probe.Observer) ([]BreakdownRow, error) {
 	specs := workload.Benchmarks()
-	return runJobs(workers, len(specs), func(i int) (BreakdownRow, error) {
+	return Jobs(workers, len(specs), func(i int) (BreakdownRow, error) {
 		s := specs[i]
 		r := sim.NewRunner(energy.NewModel(cfg))
 		r.Obs = probe.First(obs)
@@ -371,12 +398,9 @@ func ComputeBreakdown(cfg *mtj.Config, watts float64, workers int, obs ...probe.
 	})
 }
 
-// PrintBreakdown renders one of Figs. 10–12.
-func PrintBreakdown(w io.Writer, cfg *mtj.Config, watts float64, figure string, workers int, obs ...probe.Observer) error {
-	rows, err := ComputeBreakdown(cfg, watts, workers, obs...)
-	if err != nil {
-		return err
-	}
+// PrintBreakdown renders one of Figs. 10–12 from its rows, computed
+// under cfg at watts.
+func PrintBreakdown(w io.Writer, cfg *mtj.Config, watts float64, figure string, rows []BreakdownRow) error {
 	fmt.Fprintf(w, "%s — latency/energy breakdown, %s at %.0f µW\n", figure, cfg.Name, watts*1e6)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "benchmark\ttotal E (µJ)\tbackup %\tdead %\trestore %\ttotal lat (s)\tdead lat %\trestore lat %\trestarts")

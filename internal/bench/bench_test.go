@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -219,12 +220,20 @@ func TestBreakdownShares(t *testing.T) {
 
 func TestPrintersProduceOutput(t *testing.T) {
 	var buf bytes.Buffer
-	PrintTableI(&buf, mtj.ModernSTT())
-	PrintTableII(&buf)
-	PrintTableIII(&buf)
-	PrintTableIV(&buf, 0)
-	if err := PrintBreakdown(&buf, mtj.ProjectedSHE(), 60e-6, "Fig. 12", 0); err != nil {
+	breakdown, err := ComputeBreakdown(mtj.ProjectedSHE(), 60e-6, 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, err := range []error{
+		PrintTableI(&buf, mtj.ModernSTT(), ComputeTableI(mtj.ModernSTT())),
+		PrintTableII(&buf, ComputeTableII()),
+		PrintTableIII(&buf, ComputeTableIII()),
+		PrintTableIV(&buf, ComputeTableIV(0)),
+		PrintBreakdown(&buf, mtj.ProjectedSHE(), 60e-6, "Fig. 12", breakdown),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := buf.String()
 	for _, want := range []string{"Table I", "Table II", "Table III", "Table IV", "Fig. 12", "SONIC", "SVM MNIST"} {
@@ -235,8 +244,13 @@ func TestPrintersProduceOutput(t *testing.T) {
 }
 
 func TestPrintFig9(t *testing.T) {
+	cfg := mtj.ProjectedSHE()
+	points, err := ComputeFig9(cfg, Powers(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := PrintFig9(&buf, mtj.ProjectedSHE(), 0); err != nil {
+	if err := PrintFig9(&buf, []Fig9Sweep{{Config: cfg.Name, Points: points}}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "SONIC MNIST") {
@@ -258,9 +272,17 @@ func TestRobustnessStudy(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintRobustness(&buf, 0)
+	if err := PrintRobustness(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(buf.String(), "array-level limits") {
 		t.Errorf("robustness output incomplete")
+	}
+	// The printer picks each configuration's limit from the rows; it must
+	// be the gate mtj.MinVariationTolerance names.
+	mt, mg := mtj.MinVariationTolerance(mtj.ModernSTT())
+	if want := fmt.Sprintf("Modern %.1f%% (%v)", mt*100, mg); !strings.Contains(buf.String(), want) {
+		t.Errorf("robustness limit line lacks %q:\n%s", want, buf.String())
 	}
 }
 
@@ -281,7 +303,7 @@ func TestCheckpointSweepShapes(t *testing.T) {
 		t.Errorf("dead energy did not grow with interval: %g vs %g", rows[2].DeadEnergy, rows[0].DeadEnergy)
 	}
 	var buf bytes.Buffer
-	if err := PrintCheckpointSweep(&buf, mtj.ModernSTT(), "SVM ADULT", 0); err != nil {
+	if err := PrintCheckpointSweep(&buf, mtj.ModernSTT(), "SVM ADULT", rows); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "interval") {
@@ -294,7 +316,9 @@ func TestCheckpointSweepShapes(t *testing.T) {
 
 func TestPrintParallelism(t *testing.T) {
 	var buf bytes.Buffer
-	PrintParallelism(&buf)
+	if err := PrintParallelism(&buf, ComputeParallelism()); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(buf.String(), "cols") {
 		t.Errorf("parallelism output incomplete")
 	}
@@ -326,7 +350,7 @@ func TestFFTComparison(t *testing.T) {
 		t.Errorf("MOUSE %.3g s should pay an intermittent-safety penalty vs CRAFFT's %.3g s", mouse.LatencySec, crafft.LatencySec)
 	}
 	var buf bytes.Buffer
-	if err := PrintFFT(&buf, 0); err != nil {
+	if err := PrintFFT(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "CRAFFT") {

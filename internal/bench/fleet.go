@@ -13,11 +13,10 @@ import (
 
 // The fleet serving experiment: stand up a small inference fleet
 // (internal/fleet) per hot workload and power mode, drive it with the
-// open-loop load generator, and record request latency percentiles
-// under harvested vs continuous power. The outcome counters and label
-// agreement are the deterministic simulation output; the latency
-// percentiles are host wall clock, so Normalize zeroes them and the
-// registry table prints only the counters.
+// open-loop load generator, and record the outcome counters and label
+// agreement under harvested vs continuous power. Request latencies are
+// host wall clock; mouseload and the perfbench serving workloads
+// measure them.
 
 // FleetRow is one (workload, power mode) serving run.
 type FleetRow struct {
@@ -38,11 +37,6 @@ type FleetRow struct {
 	// Mismatches counts served labels that disagreed with the offline
 	// batch classifier (always 0 on a correct fleet).
 	Mismatches int
-	// P50Ms, P99Ms, MeanMs are host milliseconds per request — wall
-	// clock, zeroed by Normalize.
-	P50Ms  float64
-	P99Ms  float64
-	MeanMs float64
 }
 
 // The fixed load shape: small enough to finish in well under a second
@@ -73,7 +67,7 @@ func ComputeFleet(workers int) ([]FleetRow, error) {
 			combos = append(combos, combo{hb, mode})
 		}
 	}
-	return runJobs(workers, len(combos), func(i int) (FleetRow, error) {
+	return Jobs(workers, len(combos), func(i int) (FleetRow, error) {
 		return computeFleetRow(combos[i].hb, combos[i].mode)
 	})
 }
@@ -129,42 +123,13 @@ func computeFleetRow(hb workload.HotBatch, mode fleet.PowerMode) (FleetRow, erro
 	row.Rejected = rep.Rejected
 	row.Errors = rep.Errors
 	row.Mismatches = rep.Mismatches
-	row.P50Ms = rep.P50.Seconds() * 1e3
-	row.P99Ms = rep.P99.Seconds() * 1e3
-	row.MeanMs = rep.Mean.Seconds() * 1e3
 	return row, nil
 }
 
-// PrintFleet renders the full experiment including the latency
-// percentiles (the mousebench -fleet view; host timings vary run to
-// run, so this form is not part of the deterministic-tables contract).
-func PrintFleet(w io.Writer, workers int) error {
-	rows, err := ComputeFleet(workers)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Fleet serving latency — %d devices, %d requests x %d samples, host ms/request\n",
-		fleetBenchDevices, fleetBenchRequests, fleetBenchBatch)
-	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tpower\tok\trejected\terrors\tmismatches\tp50 ms\tp99 ms\tmean ms")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%.2f\t%.2f\t%.2f\n",
-			r.Workload, r.Power, r.OK, r.Rejected, r.Errors, r.Mismatches, r.P50Ms, r.P99Ms, r.MeanMs)
-	}
-	return tw.Flush()
-}
-
-// PrintFleetChecked renders the experiment's deterministic columns —
-// the registry's table view. Experiment tables must be byte-identical
-// across runs and parallelism, so the latency percentiles stay out;
-// what remains is the serving result: every request served, none
-// rejected or wrong, under both power modes.
-func PrintFleetChecked(w io.Writer, workers int) error {
-	rows, err := ComputeFleet(workers)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Fleet serving equivalence — %d devices, %d requests x %d samples (latencies: mousebench -fleet)\n",
+// PrintFleetChecked renders the experiment's rows: every request
+// served, none rejected or wrong, under both power modes.
+func PrintFleetChecked(w io.Writer, rows []FleetRow) error {
+	fmt.Fprintf(w, "Fleet serving equivalence — %d devices, %d requests x %d samples (latencies: mouseload or perfbench)\n",
 		fleetBenchDevices, fleetBenchRequests, fleetBenchBatch)
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tpower\tok\trejected\terrors\tmismatches")
@@ -173,25 +138,4 @@ func PrintFleetChecked(w io.Writer, workers int) error {
 			r.Workload, r.Power, r.OK, r.Rejected, r.Errors, r.Mismatches)
 	}
 	return tw.Flush()
-}
-
-// RunFleet is the mousebench -fleet entry point: the serving experiment
-// alone, with latency percentiles, as a table or a one-experiment
-// report.
-func RunFleet(w io.Writer, workers int, asJSON bool) error {
-	if !asJSON {
-		return PrintFleet(w, workers)
-	}
-	start := time.Now()
-	rows, err := ComputeFleet(workers)
-	if err != nil {
-		return err
-	}
-	rep := &Report{
-		Schema: Schema, Tool: "mousebench", Parallelism: clampWorkers(workers, 1<<30),
-		Experiments: []ExperimentReport{{
-			Name: "fleet", WallSeconds: time.Since(start).Seconds(), Rows: rows,
-		}},
-	}
-	return rep.WriteJSON(w)
 }

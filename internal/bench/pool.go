@@ -33,21 +33,14 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
-// runJobs executes n independent jobs with at most workers concurrent
+// Jobs executes n independent jobs with at most workers concurrent
 // goroutines and returns their results ordered by job index, regardless
 // of completion order. Every job runs to completion even when another
 // job fails; the error returned is the lowest-indexed job's error, so
 // the (result, error) pair is deterministic for a deterministic job
 // function. workers <= 0 selects DefaultWorkers(); workers == 1 runs
-// the jobs serially on the calling goroutine.
-func runJobs[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
-	return Jobs(workers, n, job)
-}
-
-// Jobs is the exported worker pool other engines (the fault-injection
-// sweep) build on: n independent jobs, at most workers concurrent,
-// results ordered by job index with the lowest-indexed error returned.
-// See runJobs for the full contract.
+// the jobs serially on the calling goroutine. Besides the experiments
+// here, the fault-injection sweep builds on it.
 func Jobs[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)

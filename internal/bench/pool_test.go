@@ -15,7 +15,7 @@ func TestRunJobsOrdersResultsByIndex(t *testing.T) {
 		// Early jobs sleep longest so completion order inverts index
 		// order; results must come back in index order anyway.
 		n := 40
-		out, err := runJobs(workers, n, func(i int) (int, error) {
+		out, err := Jobs(workers, n, func(i int) (int, error) {
 			time.Sleep(time.Duration(n-i) * 10 * time.Microsecond)
 			return i * i, nil
 		})
@@ -37,7 +37,7 @@ func TestRunJobsErrorIsDeterministic(t *testing.T) {
 	boom := func(i int) error { return fmt.Errorf("job %d failed", i) }
 	for _, workers := range []int{1, 8} {
 		var ran atomic.Int64
-		_, err := runJobs(workers, 20, func(i int) (int, error) {
+		_, err := Jobs(workers, 20, func(i int) (int, error) {
 			ran.Add(1)
 			if i == 7 || i == 3 || i == 15 {
 				return 0, boom(i)
@@ -55,7 +55,7 @@ func TestRunJobsErrorIsDeterministic(t *testing.T) {
 }
 
 func TestRunJobsZeroJobs(t *testing.T) {
-	out, err := runJobs(4, 0, func(int) (int, error) { return 0, errors.New("never") })
+	out, err := Jobs(4, 0, func(int) (int, error) { return 0, errors.New("never") })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty grid: %v %v", out, err)
 	}

@@ -8,20 +8,20 @@ import (
 	"time"
 )
 
-// Progress receives experiment lifecycle events from the report and
-// table runners. Implementations must be safe for use from the goroutine
-// driving the run (events arrive sequentially, one experiment at a
-// time); index is 1-based and total counts the selected experiments.
+// Progress receives experiment lifecycle events from BuildReport.
+// Implementations must be safe for use from the goroutine driving the
+// run (events arrive sequentially, one experiment at a time); index is
+// 1-based and total counts the selected experiments.
 //
-// The runners never let a Progress implementation alter results: events
-// carry copies of what already happened, and a nil Progress is the
-// zero-overhead default everywhere.
+// BuildReport never lets a Progress implementation alter results:
+// events carry copies of what already happened, and a nil Progress is
+// the zero-overhead default.
 type Progress interface {
 	// ExperimentStarted fires just before experiment index of total begins.
 	ExperimentStarted(name string, index, total int)
 	// ExperimentFinished fires after it returns. rows is the number of
-	// structured rows produced (-1 when unknown, e.g. table mode); err is
-	// the experiment's error, nil on success.
+	// structured rows produced (see RowCount); err is the experiment's
+	// error, nil on success.
 	ExperimentFinished(name string, index, total, rows int, wall time.Duration, err error)
 }
 

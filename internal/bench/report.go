@@ -91,40 +91,15 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // Normalize zeroes the run-environment fields — wall-clock times and
-// the worker count — leaving only the simulated results, so reports
-// from different machines or parallelism settings compare deep-equal
-// exactly when the simulation itself is deterministic.
+// the worker count — and drops the telemetry and meta sections, leaving
+// only the simulated results, so reports from different machines or
+// parallelism settings compare deep-equal exactly when the simulation
+// itself is deterministic. Rows hold simulation output only, so a
+// decoded report normalizes the same as the one that was encoded.
 func (r *Report) Normalize() {
 	r.Parallelism = 0
 	for i := range r.Experiments {
 		r.Experiments[i].WallSeconds = 0
-		// The batch experiment's throughput numbers are host wall clock
-		// too; only its shape and mismatch count are simulation output.
-		if rows, ok := r.Experiments[i].Rows.([]BatchRow); ok {
-			for j := range rows {
-				rows[j].NsSequential = 0
-				rows[j].NsBatched = 0
-				rows[j].Speedup = 0
-			}
-		}
-		// Likewise the segment experiment's sweep timings; its restart
-		// totals and mismatch counts are simulation output.
-		if rows, ok := r.Experiments[i].Rows.([]SegmentRow); ok {
-			for j := range rows {
-				rows[j].NsStepping = 0
-				rows[j].NsSegment = 0
-				rows[j].Speedup = 0
-			}
-		}
-		// And the fleet experiment's request latencies; its outcome and
-		// mismatch counters are the serving result.
-		if rows, ok := r.Experiments[i].Rows.([]FleetRow); ok {
-			for j := range rows {
-				rows[j].P50Ms = 0
-				rows[j].P99Ms = 0
-				rows[j].MeanMs = 0
-			}
-		}
 	}
 	// Telemetry floats accumulate in pool-scheduling order, so two runs
 	// of the same experiments at different parallelism can differ in the
@@ -133,10 +108,30 @@ func (r *Report) Normalize() {
 	r.Meta = nil
 }
 
-// Fig9Sweep is one configuration's Fig. 9 power sweep in a report.
-type Fig9Sweep struct {
-	Config string
-	Points []Fig9Point
+// WriteTables renders the report as the human-readable tables, one per
+// experiment, separated by exactly one blank line, with no leading or
+// trailing blank line; a Telemetry section follows as a summary block.
+// The report must hold the typed rows its builder returned.
+func (r *Report) WriteTables(w io.Writer) error {
+	all := Experiments()
+	for i, er := range r.Experiments {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		e, err := selectExperiment(all, er.Name)
+		if err != nil {
+			return err
+		}
+		if err := e.Print(w, er.Rows); err != nil {
+			return fmt.Errorf("%s: %w", er.Name, err)
+		}
+	}
+	if r.Telemetry == nil {
+		return nil
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Telemetry — totals across every simulation above")
+	return r.Telemetry.WriteSummary(w)
 }
 
 // CrossoverResult is the crossover experiment's single row.
@@ -146,15 +141,31 @@ type CrossoverResult struct {
 }
 
 // Experiment is one entry of the mousebench registry: a stable name, a
-// human-readable table printer, and a typed-row producer for JSON
-// reports. workers bounds the sweep pool (<= 0 selects DefaultWorkers).
-// The optional observer is shared by every simulation the experiment
-// runs (so it must be concurrency-safe, like probe.Stats); experiments
-// that run no simulations ignore it.
+// typed-row producer, and a table printer that formats those rows.
+// workers bounds the sweep pool (<= 0 selects DefaultWorkers). The
+// optional observer is shared by every simulation the experiment runs
+// (so it must be concurrency-safe, like probe.Stats); experiments that
+// run no simulations ignore it.
 type Experiment struct {
 	Name  string
-	Print func(w io.Writer, workers int, obs ...probe.Observer) error
 	Rows  func(workers int, obs ...probe.Observer) (any, error)
+	Print func(w io.Writer, rows any) error
+}
+
+// experiment builds a registry entry from a typed row producer and the
+// printer of those rows; the rows' type assertion lives here.
+func experiment[T any](name string, compute func(workers int, obs ...probe.Observer) (T, error), print func(w io.Writer, rows T) error) Experiment {
+	return Experiment{
+		Name: name,
+		Rows: func(workers int, obs ...probe.Observer) (any, error) { return compute(workers, obs...) },
+		Print: func(w io.Writer, rows any) error {
+			typed, ok := rows.(T)
+			if !ok {
+				return fmt.Errorf("bench: %s rows are %T, want %T", name, rows, typed)
+			}
+			return print(w, typed)
+		},
+	}
 }
 
 // Experiments lists every experiment in output order. The names are the
@@ -162,150 +173,86 @@ type Experiment struct {
 // stable across PRs so BENCH_*.json files stay comparable.
 func Experiments() []Experiment {
 	return []Experiment{
-		{
-			Name:  "table1",
-			Print: func(w io.Writer, _ int, _ ...probe.Observer) error { PrintTableI(w, mtj.ModernSTT()); return nil },
-			Rows:  func(_ int, _ ...probe.Observer) (any, error) { return ComputeTableI(mtj.ModernSTT()), nil },
-		},
-		{
-			Name:  "table2",
-			Print: func(w io.Writer, _ int, _ ...probe.Observer) error { PrintTableII(w); return nil },
-			Rows:  func(_ int, _ ...probe.Observer) (any, error) { return ComputeTableII(), nil },
-		},
-		{
-			Name:  "table3",
-			Print: func(w io.Writer, _ int, _ ...probe.Observer) error { PrintTableIII(w); return nil },
-			Rows:  func(_ int, _ ...probe.Observer) (any, error) { return ComputeTableIII(), nil },
-		},
-		{
-			Name: "table4",
-			Print: func(w io.Writer, workers int, obs ...probe.Observer) error {
-				PrintTableIV(w, workers, obs...)
-				return nil
+		experiment("table1",
+			func(int, ...probe.Observer) ([]TableIRow, error) { return ComputeTableI(mtj.ModernSTT()), nil },
+			func(w io.Writer, rows []TableIRow) error { return PrintTableI(w, mtj.ModernSTT(), rows) }),
+		experiment("table2",
+			func(int, ...probe.Observer) ([]TableIIRow, error) { return ComputeTableII(), nil },
+			PrintTableII),
+		experiment("table3",
+			func(int, ...probe.Observer) ([]TableIIIRow, error) { return ComputeTableIII(), nil },
+			PrintTableIII),
+		experiment("table4",
+			func(workers int, obs ...probe.Observer) ([]TableIVRow, error) {
+				return ComputeTableIV(workers, obs...), nil
 			},
-			Rows: func(workers int, obs ...probe.Observer) (any, error) { return ComputeTableIV(workers, obs...), nil },
-		},
-		{
-			Name: "fig9",
-			Print: func(w io.Writer, workers int, obs ...probe.Observer) error {
-				for i, cfg := range mtj.Configs() {
-					if i > 0 {
-						fmt.Fprintln(w)
-					}
-					if err := PrintFig9(w, cfg, workers, obs...); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			Rows: func(workers int, obs ...probe.Observer) (any, error) {
-				var sweeps []Fig9Sweep
-				for _, cfg := range mtj.Configs() {
-					points, err := ComputeFig9(cfg, Powers(), workers, obs...)
-					if err != nil {
-						return nil, err
-					}
-					sweeps = append(sweeps, Fig9Sweep{Config: cfg.Name, Points: points})
-				}
-				return sweeps, nil
-			},
-		},
+			PrintTableIV),
+		experiment("fig9", computeFig9Sweeps, PrintFig9),
 		breakdownExperiment("fig10", "Fig. 10", mtj.ModernSTT),
 		breakdownExperiment("fig11", "Fig. 11", mtj.ProjectedSTT),
 		breakdownExperiment("fig12", "Fig. 12", mtj.ProjectedSHE),
-		{
-			Name:  "fft",
-			Print: func(w io.Writer, workers int, obs ...probe.Observer) error { return PrintFFT(w, workers, obs...) },
-			Rows:  func(workers int, obs ...probe.Observer) (any, error) { return ComputeFFT(workers, obs...) },
-		},
-		{
-			Name:  "robustness",
-			Print: func(w io.Writer, workers int, _ ...probe.Observer) error { PrintRobustness(w, workers); return nil },
-			Rows:  func(workers int, _ ...probe.Observer) (any, error) { return ComputeRobustness(workers), nil },
-		},
-		{
-			Name: "checkpoint",
-			Print: func(w io.Writer, workers int, obs ...probe.Observer) error {
-				return PrintCheckpointSweep(w, mtj.ModernSTT(), "SVM ADULT", workers, obs...)
+		experiment("fft", ComputeFFT, PrintFFT),
+		experiment("robustness",
+			func(workers int, _ ...probe.Observer) ([]RobustnessRow, error) {
+				return ComputeRobustness(workers), nil
 			},
-			Rows: func(workers int, obs ...probe.Observer) (any, error) {
-				rows, err := ComputeCheckpointSweep(mtj.ModernSTT(), "SVM ADULT", workers, obs...)
-				if err != nil {
-					return nil, err
-				}
-				return rows, nil
+			PrintRobustness),
+		experiment("checkpoint",
+			func(workers int, obs ...probe.Observer) ([]CheckpointRow, error) {
+				return ComputeCheckpointSweep(mtj.ModernSTT(), "SVM ADULT", workers, obs...)
 			},
-		},
-		{
-			Name:  "parallelism",
-			Print: func(w io.Writer, _ int, _ ...probe.Observer) error { PrintParallelism(w); return nil },
-			Rows:  func(_ int, _ ...probe.Observer) (any, error) { return ComputeParallelism(), nil },
-		},
-		{
-			Name: "crossover",
-			Print: func(w io.Writer, workers int, obs ...probe.Observer) error {
-				p, err := CrossoverPowerW(mtj.ModernSTT(), workers, obs...)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "FP-BNN vs SVM MNIST (Bin) latency crossover: %.3g W\n", p)
-				fmt.Fprintln(w, "below this power the energy-hungrier FP-BNN is slower; above it its")
-				fmt.Fprintln(w, "higher exploited parallelism wins (Section IX)")
-				return nil
-			},
-			Rows: func(workers int, obs ...probe.Observer) (any, error) {
+			func(w io.Writer, rows []CheckpointRow) error {
+				return PrintCheckpointSweep(w, mtj.ModernSTT(), "SVM ADULT", rows)
+			}),
+		experiment("parallelism",
+			func(int, ...probe.Observer) ([]ParallelismRow, error) { return ComputeParallelism(), nil },
+			PrintParallelism),
+		experiment("crossover",
+			func(workers int, obs ...probe.Observer) ([]CrossoverResult, error) {
 				p, err := CrossoverPowerW(mtj.ModernSTT(), workers, obs...)
 				if err != nil {
 					return nil, err
 				}
 				return []CrossoverResult{{PowerW: p}}, nil
 			},
-		},
-		{
-			Name: "batch",
-			Print: func(w io.Writer, workers int, _ ...probe.Observer) error {
-				return PrintBatchChecked(w, array.MaxLanes, workers)
-			},
-			Rows: func(workers int, _ ...probe.Observer) (any, error) {
+			func(w io.Writer, rows []CrossoverResult) error {
+				fmt.Fprintf(w, "FP-BNN vs SVM MNIST (Bin) latency crossover: %.3g W\n", rows[0].PowerW)
+				fmt.Fprintln(w, "below this power the energy-hungrier FP-BNN is slower; above it its")
+				_, err := fmt.Fprintln(w, "higher exploited parallelism wins (Section IX)")
+				return err
+			}),
+		experiment("batch",
+			func(workers int, _ ...probe.Observer) ([]BatchRow, error) {
 				return ComputeBatch(array.MaxLanes, workers)
 			},
-		},
-		{
-			Name: "segment",
-			Print: func(w io.Writer, workers int, _ ...probe.Observer) error {
-				return PrintSegmentChecked(w, workers)
-			},
-			Rows: func(workers int, _ ...probe.Observer) (any, error) {
-				return ComputeSegment(workers)
-			},
-		},
-		{
-			Name: "fleet",
-			Print: func(w io.Writer, workers int, _ ...probe.Observer) error {
-				return PrintFleetChecked(w, workers)
-			},
-			Rows: func(workers int, _ ...probe.Observer) (any, error) {
-				return ComputeFleet(workers)
-			},
-		},
+			func(w io.Writer, rows []BatchRow) error { return PrintBatchChecked(w, array.MaxLanes, rows) }),
+		experiment("segment",
+			func(workers int, _ ...probe.Observer) ([]SegmentRow, error) { return ComputeSegment(workers) },
+			PrintSegmentChecked),
+		experiment("fleet",
+			func(workers int, _ ...probe.Observer) ([]FleetRow, error) { return ComputeFleet(workers) },
+			PrintFleetChecked),
 	}
 }
 
-// breakdownExperiment builds a Figs. 10–12 registry entry.
+// breakdownExperiment builds a Figs. 10–12 registry entry at 60 µW.
 func breakdownExperiment(name, figure string, cfg func() *mtj.Config) Experiment {
-	return Experiment{
-		Name: name,
-		Print: func(w io.Writer, workers int, obs ...probe.Observer) error {
-			return PrintBreakdown(w, cfg(), 60e-6, figure, workers, obs...)
+	const watts = 60e-6
+	return experiment(name,
+		func(workers int, obs ...probe.Observer) ([]BreakdownRow, error) {
+			return ComputeBreakdown(cfg(), watts, workers, obs...)
 		},
-		Rows: func(workers int, obs ...probe.Observer) (any, error) {
-			rows, err := ComputeBreakdown(cfg(), 60e-6, workers, obs...)
-			if err != nil {
-				return nil, err
-			}
-			return rows, nil
-		},
+		func(w io.Writer, rows []BreakdownRow) error { return PrintBreakdown(w, cfg(), watts, figure, rows) })
+}
+
+// selectExperiment finds the registry entry named name.
+func selectExperiment(all []Experiment, name string) (Experiment, error) {
+	for _, e := range all {
+		if e.Name == name {
+			return e, nil
+		}
 	}
+	return Experiment{}, fmt.Errorf("unknown experiment %q", name)
 }
 
 // selectExperiments resolves an -experiment value against the registry.
@@ -314,58 +261,19 @@ func selectExperiments(experiment string) ([]Experiment, error) {
 	if experiment == "all" {
 		return all, nil
 	}
-	for _, e := range all {
-		if e.Name == experiment {
-			return []Experiment{e}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown experiment %q", experiment)
-}
-
-// RunPrinted renders the selected experiment (or "all") as the
-// human-readable tables, separated by exactly one blank line, with no
-// leading or trailing blank line.
-func RunPrinted(w io.Writer, experiment string, workers int, obs ...probe.Observer) error {
-	return RunPrintedProgress(w, experiment, workers, nil, obs...)
-}
-
-// RunPrintedProgress is RunPrinted with per-experiment lifecycle events
-// delivered to prog (nil means no events). Events only wrap the calls —
-// table bytes on w are identical with or without a Progress attached.
-func RunPrintedProgress(w io.Writer, experiment string, workers int, prog Progress, obs ...probe.Observer) error {
-	selected, err := selectExperiments(experiment)
+	e, err := selectExperiment(all, experiment)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i, e := range selected {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		if prog != nil {
-			prog.ExperimentStarted(e.Name, i+1, len(selected))
-		}
-		start := time.Now()
-		err := e.Print(w, workers, obs...)
-		if prog != nil {
-			prog.ExperimentFinished(e.Name, i+1, len(selected), -1, time.Since(start), err)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
-		}
-	}
-	return nil
+	return []Experiment{e}, nil
 }
 
 // BuildReport computes the selected experiment's (or "all" experiments')
 // typed rows and wall-clock costs into a Report, stamped with the
-// current run's metadata.
-func BuildReport(experiment string, workers int, obs ...probe.Observer) (*Report, error) {
-	return BuildReportProgress(experiment, workers, nil, obs...)
-}
-
-// BuildReportProgress is BuildReport with per-experiment lifecycle
-// events delivered to prog (nil means no events).
-func BuildReportProgress(experiment string, workers int, prog Progress, obs ...probe.Observer) (*Report, error) {
+// current run's metadata. Per-experiment lifecycle events go to prog
+// (nil means no events); obs is shared by every simulation the
+// experiments run.
+func BuildReport(experiment string, workers int, prog Progress, obs ...probe.Observer) (*Report, error) {
 	selected, err := selectExperiments(experiment)
 	if err != nil {
 		return nil, err
@@ -390,24 +298,5 @@ func BuildReportProgress(experiment string, workers int, prog Progress, obs ...p
 			Rows:        rows,
 		})
 	}
-	return rep, nil
-}
-
-// BuildTelemetryReport is BuildReport with a shared probe.Stats
-// attached to every simulation the selected experiments run; its
-// snapshot lands in the report's Telemetry section.
-func BuildTelemetryReport(experiment string, workers int) (*Report, error) {
-	return BuildTelemetryReportProgress(experiment, workers, nil)
-}
-
-// BuildTelemetryReportProgress is BuildTelemetryReport with progress
-// events (nil prog means no events).
-func BuildTelemetryReportProgress(experiment string, workers int, prog Progress) (*Report, error) {
-	stats := &probe.Stats{}
-	rep, err := BuildReportProgress(experiment, workers, prog, stats)
-	if err != nil {
-		return nil, err
-	}
-	rep.Telemetry = stats.Section()
 	return rep, nil
 }

@@ -48,7 +48,7 @@ func TestSelectExperiments(t *testing.T) {
 // mousebench -json output is consumed by trajectory tooling, not only
 // humans.
 func TestReportRoundTrip(t *testing.T) {
-	rep, err := BuildReport("checkpoint", 2)
+	rep, err := BuildReport("checkpoint", 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,19 @@ func TestReportRoundTrip(t *testing.T) {
 	if _, ok := row["Interval"]; !ok {
 		t.Errorf("checkpoint row lost Interval field: %v", row)
 	}
+	// Tables render typed rows only; a decoded report is refused, not
+	// misprinted.
+	if err := decoded.WriteTables(&bytes.Buffer{}); err == nil {
+		t.Errorf("WriteTables accepted decoded rows")
+	}
 }
 
 func TestNormalizeStripsRunEnvironment(t *testing.T) {
-	a, err := BuildReport("parallelism", 1)
+	a, err := BuildReport("parallelism", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildReport("parallelism", 5)
+	b, err := BuildReport("parallelism", 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +111,44 @@ func TestNormalizeStripsRunEnvironment(t *testing.T) {
 	b.Normalize()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("normalized reports differ: %+v vs %+v", a, b)
+	}
+
+	// A report decoded from JSON must normalize to the same content as
+	// the in-memory report it was encoded from: no host timing may hide
+	// in the rows, where Normalize cannot see it.
+	seg, err := BuildReport("segment", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := seg.WriteJSON(&enc); err != nil {
+		t.Fatal(err)
+	}
+	var decoded Report
+	if err := json.Unmarshal(enc.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	seg.Normalize()
+	decoded.Normalize()
+	// Decoded rows are maps, which encode with sorted keys; compare the
+	// two encodings in that canonical form.
+	canonical := func(rep *Report) string {
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var generic any
+		if err := json.Unmarshal(buf.Bytes(), &generic); err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(generic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	if got, want := canonical(&decoded), canonical(seg); got != want {
+		t.Errorf("decoded report normalizes differently:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -187,14 +230,18 @@ func TestBenchTrajectory(t *testing.T) {
 }
 
 func TestPrintedSeparatorFraming(t *testing.T) {
+	rep, err := BuildReport("table2", 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := RunPrinted(&buf, "table2", 1); err != nil {
+	if err := rep.WriteTables(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if strings.HasSuffix(buf.String(), "\n\n") {
 		t.Errorf("single experiment has a trailing blank line")
 	}
-	if err := RunPrinted(&buf, "nope", 1); err == nil {
+	if _, err := BuildReport("nope", 1, nil); err == nil {
 		t.Errorf("unknown experiment accepted")
 	}
 }

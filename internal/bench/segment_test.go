@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -11,8 +10,8 @@ import (
 // TestComputeSegmentShapes: the experiment covers every benchmark,
 // verifies stepping-vs-segment equivalence inline (zero mismatches),
 // and sweeps the full Fig. 9 power grid. Correctness runs in the
-// regular suite; the speedup claim lives behind the MOUSE_BENCH_SMOKE
-// gate.
+// regular suite; the speedup gate is the root package's
+// TestSegmentThroughputRegression.
 func TestComputeSegmentShapes(t *testing.T) {
 	rows, err := ComputeSegment(0)
 	if err != nil {
@@ -35,40 +34,24 @@ func TestComputeSegmentShapes(t *testing.T) {
 }
 
 // TestPrintSegmentCheckedDeterministic: the registry's table view must
-// be byte-identical across runs and parallelism (no wall-clock columns).
+// be byte-identical across runs and parallelism.
 func TestPrintSegmentCheckedDeterministic(t *testing.T) {
-	var a, b strings.Builder
-	if err := PrintSegmentChecked(&a, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := PrintSegmentChecked(&b, 0); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("table not deterministic across parallelism:\n--- workers=1\n%s\n--- workers=auto\n%s", a.String(), b.String())
-	}
-}
-
-// TestSegmentThroughputRegression is the bench-smoke gate (set
-// MOUSE_BENCH_SMOKE=1): the segment engine must beat the stepping path
-// by at least 3x on every benchmark's Fig. 9 sweep. The committed
-// BENCH_3.json records the real margin (≥10x); the CI floor is lower so
-// shared runners don't flake the gate.
-func TestSegmentThroughputRegression(t *testing.T) {
-	if os.Getenv("MOUSE_BENCH_SMOKE") == "" {
-		t.Skip("set MOUSE_BENCH_SMOKE=1 to run the throughput regression gate")
-	}
-	rows, err := ComputeSegment(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%s: %.0f ns stepping, %.0f ns segment, %.1fx", r.Workload, r.NsStepping, r.NsSegment, r.Speedup)
-		if r.Mismatches != 0 {
-			t.Errorf("%s: %d mismatches", r.Workload, r.Mismatches)
+	render := func(workers int) string {
+		rows, err := ComputeSegment(workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Speedup < 3 {
-			t.Errorf("%s: speedup %.2fx below the 3x regression floor", r.Workload, r.Speedup)
+		var sb strings.Builder
+		if err := PrintSegmentChecked(&sb, rows); err != nil {
+			t.Fatal(err)
 		}
+		return sb.String()
+	}
+	a, b := render(1), render(0)
+	if !strings.Contains(a, "mismatches") {
+		t.Errorf("table missing the mismatch column:\n%s", a)
+	}
+	if a != b {
+		t.Errorf("table not deterministic across parallelism:\n--- workers=1\n%s\n--- workers=auto\n%s", a, b)
 	}
 }

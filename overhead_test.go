@@ -1,8 +1,8 @@
-// Observer-overhead smoke test: the probe layer's contract is that an
-// unobserved run is free. The repo's CI bench-smoke job runs this with
-// MOUSE_BENCH_SMOKE=1 and fails the build if attaching the no-op
-// observer to the SVM MachineRunner benchmark adds any allocations or
-// more than 2% latency.
+// Speed smoke gates: the probe layer's contract that an unobserved run
+// is free, and the throughput floors of the batch and segment engines.
+// The repo's CI bench-smoke job runs them with MOUSE_BENCH_SMOKE=1. They
+// time with testing.Benchmark; the engine gates time the very bodies of
+// BenchmarkHotBatch and BenchmarkFig9Row{Stepping,Segment}.
 package mouse_test
 
 import (
@@ -11,10 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"mouse/internal/array"
+	"mouse/internal/bench"
 	"mouse/internal/controller"
 	"mouse/internal/metrics"
 	"mouse/internal/probe"
 	"mouse/internal/sim"
+	"mouse/internal/workload"
 )
 
 // TestNopObserverOverhead compares the SVM MachineRunner workload with
@@ -135,5 +138,82 @@ func TestMetricsBridgeOverhead(t *testing.T) {
 	t.Logf("bare Stats %.0f ns/op, bridged+scraped %.0f ns/op (%.4fx)", bareNs, bridgedNs, ratio)
 	if ratio > 1.02 {
 		t.Errorf("metrics bridge costs %.2f%% latency under continuous scraping, budget is 2%%", (ratio-1)*100)
+	}
+}
+
+// speedup times the baseline and the fast benchmark bodies with
+// testing.Benchmark, alternating them for a few rounds, and returns the
+// baseline's best ns/op over the fast one's best: the best of several
+// rounds is the sample least disturbed by other load on the host.
+func speedup(t *testing.T, base, fast func(b *testing.B)) float64 {
+	t.Helper()
+	const rounds = 3
+	var baseNs, fastNs float64
+	for i := 0; i < rounds; i++ {
+		slow, quick := testing.Benchmark(base), testing.Benchmark(fast)
+		if slow.N == 0 || quick.N == 0 {
+			t.Fatal("benchmark body failed")
+		}
+		if ns := float64(slow.NsPerOp()); i == 0 || ns < baseNs {
+			baseNs = ns
+		}
+		if ns := float64(quick.NsPerOp()); i == 0 || ns < fastNs {
+			fastNs = ns
+		}
+	}
+	return baseNs / fastNs
+}
+
+// TestBatchThroughputRegression is the batch engine's speed gate (set
+// MOUSE_BENCH_SMOKE=1): at full width the bit-sliced engine must beat
+// the sequential path by at least 3x per inference on every hot
+// workload, with zero label mismatches. BENCH_2.json recorded the real
+// margin (≥5x); the CI floor is lower so shared runners don't flake.
+func TestBatchThroughputRegression(t *testing.T) {
+	if os.Getenv("MOUSE_BENCH_SMOKE") == "" {
+		t.Skip("set MOUSE_BENCH_SMOKE=1 to run the throughput regression gate")
+	}
+	rows, err := bench.ComputeBatch(array.MaxLanes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Mismatches != 0 {
+			t.Errorf("%s: %d mismatches", r.Workload, r.Mismatches)
+		}
+	}
+	for _, hb := range workload.HotBatches() {
+		x := speedup(t, hotBatch(hb, false), hotBatch(hb, true))
+		t.Logf("%s: batched %.1fx sequential", hb.Name, x)
+		if x < 3 {
+			t.Errorf("%s: speedup %.2fx below the 3x regression floor", hb.Name, x)
+		}
+	}
+}
+
+// TestSegmentThroughputRegression is the segment engine's speed gate
+// (set MOUSE_BENCH_SMOKE=1): it must beat the stepping path by at least
+// 3x on every benchmark's Fig. 9 sweep, with zero Result mismatches.
+// BENCH_3.json recorded the real margin (≥10x on the grid); the CI
+// floor is lower so shared runners don't flake.
+func TestSegmentThroughputRegression(t *testing.T) {
+	if os.Getenv("MOUSE_BENCH_SMOKE") == "" {
+		t.Skip("set MOUSE_BENCH_SMOKE=1 to run the throughput regression gate")
+	}
+	rows, err := bench.ComputeSegment(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Mismatches != 0 {
+			t.Errorf("%s: %d mismatches", r.Workload, r.Mismatches)
+		}
+	}
+	for _, spec := range workload.Benchmarks() {
+		x := speedup(t, fig9Row(spec, true), fig9Row(spec, false))
+		t.Logf("%s: segment %.1fx stepping", spec.Name, x)
+		if x < 3 {
+			t.Errorf("%s: speedup %.2fx below the 3x regression floor", spec.Name, x)
+		}
 	}
 }
