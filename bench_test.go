@@ -7,6 +7,7 @@
 package mouse_test
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -197,10 +198,34 @@ func hotBatch(hb workload.HotBatch, batched bool) func(b *testing.B) {
 	}
 }
 
+// sparseBatch is the sample count of one perfbench serve-sparse request.
+const sparseBatch = 8
+
+// hotBatchSparse is the body of one hot workload's batch benchmark at
+// a sparse request size: each op classifies sparseBatch samples on the
+// bit-sliced engine, so the cost of replaying a nearly empty batch
+// shows here.
+func hotBatchSparse(hb workload.HotBatch) func(b *testing.B) {
+	return func(b *testing.B) {
+		classify, err := hb.NewBatched()
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples := hb.Samples(sparseBatch)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := classify(samples); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkHotBatch(b *testing.B) {
 	for _, hb := range workload.HotBatches() {
 		b.Run(hb.Name+"/sequential", hotBatch(hb, false))
 		b.Run(hb.Name+"/batched", hotBatch(hb, true))
+		b.Run(fmt.Sprintf("%s/batched-%d", hb.Name, sparseBatch), hotBatchSparse(hb))
 	}
 }
 

@@ -2,6 +2,7 @@ package array
 
 import (
 	"fmt"
+	"slices"
 
 	"mouse/internal/isa"
 )
@@ -26,7 +27,9 @@ import (
 //
 // The replay loop executes a compile.FlatProgram, so validation, truth
 // table lookup, and activation decoding all happened once at compile
-// time; nothing in the loop allocates or can fail. Interrupted pulses
+// time; nothing in the loop allocates or can fail. For a column-local
+// program (no rotated write) the loop also takes a live-column bound
+// and touches only the columns a batch fills. Interrupted pulses
 // have no word-parallel form (the partial resistor-network integration
 // is per cell), so intermittent execution stays on the scalar
 // Machine/MachineRunner path — the batch engine is the
@@ -65,9 +68,9 @@ type FlatOp struct {
 	// Preset field: true writes AP (logic 1).
 	AP bool
 
-	// Activation fields: the resolved column set — deduplicated, in
-	// first-occurrence order, filtered to the machine width exactly
-	// like Tile.SetActive.
+	// Activation fields: the resolved column set — deduplicated,
+	// filtered to the machine width exactly like Tile.SetActive, and in
+	// ascending order, so the columns below a live bound are a prefix.
 	Broadcast bool
 	Cols      []uint16
 }
@@ -81,6 +84,13 @@ type FlatProgram struct {
 	// Tiles, Rows, Cols is the data-tile geometry the program was
 	// resolved against; Replay refuses a machine of any other shape.
 	Tiles, Rows, Cols int
+
+	// ColumnLocal reports that no write rotates (every wrapped Rot is
+	// 0). Reads, unrotated writes, presets and logic then act on each
+	// column independently and the activation latch is a set, so the
+	// state of column c never depends on a column other than c: Replay
+	// can skip every column at or above its live bound.
+	ColumnLocal bool
 }
 
 // BatchTile is the lane-sliced image of one Tile: lane words in
@@ -306,22 +316,37 @@ func (m *BatchMachine) BufferLane(lane int, dst []byte) {
 // the only runtime check — per-instruction validation happened in
 // Flatten, so the loop below is branch-lean, cannot fail, and
 // performs no allocation.
-func (m *BatchMachine) Replay(fp *FlatProgram) error {
+//
+// live bounds the columns a column-local program touches: columns
+// below live end exactly as a full replay leaves them (cells, buffer,
+// activation), and columns at or above it keep the cells and buffer
+// they held and are never latched active. A batch that fills only its
+// first live columns therefore pays for live columns per op, not Cols.
+// A program that is not column-local ignores the bound and replays
+// every column; callers that need the whole machine pass Cols.
+func (m *BatchMachine) Replay(fp *FlatProgram, live int) error {
 	if err := m.checkGeometry(fp.Tiles, fp.Rows, fp.Cols); err != nil {
 		return err
 	}
 	cols := m.cols
+	if live < 1 || live > cols {
+		return fmt.Errorf("array: live column bound %d out of range [1, %d]", live, cols)
+	}
+	if !fp.ColumnLocal {
+		live = cols
+	}
 	for i := range fp.Ops {
 		op := &fp.Ops[i]
 		switch op.Kind {
 		case isa.KindRead:
-			copy(m.Buffer, m.Tiles[op.Tile].rowWords(op.Row))
+			copy(m.Buffer[:live], m.Tiles[op.Tile].rowWords(op.Row))
 		case isa.KindWrite:
 			// Destination column c receives buffer word (c-rot) mod cols —
 			// the lane-sliced image of WriteRowRot's left rotation. Lane
 			// bits are untouched: rotation permutes columns, not samples.
+			// live < cols implies rot 0, where the second copy is empty.
 			dst := m.Tiles[op.Tile].rowWords(op.Row)
-			copy(dst[op.Rot:], m.Buffer[:cols-op.Rot])
+			copy(dst[op.Rot:live], m.Buffer[:live-op.Rot])
 			copy(dst[:op.Rot], m.Buffer[cols-op.Rot:])
 		case isa.KindPreset:
 			var w uint64
@@ -339,14 +364,18 @@ func (m *BatchMachine) Replay(fp *FlatProgram) error {
 				t.execLogic(op)
 			}
 		case isa.KindAct:
+			// Latch the prefix of the ascending column set below live;
+			// preset and logic then iterate only live columns.
+			n, _ := slices.BinarySearch(op.Cols, uint16(live))
+			active := op.Cols[:n]
 			if op.Broadcast {
 				for _, t := range m.Tiles {
-					t.active = op.Cols
+					t.active = active
 				}
 			} else {
 				for ti, t := range m.Tiles {
 					if ti == op.Tile {
-						t.active = op.Cols
+						t.active = active
 					} else {
 						t.active = nil
 					}

@@ -3,6 +3,7 @@ package array
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mouse/internal/isa"
@@ -138,7 +139,7 @@ func runBatchedVsSequential(t *testing.T, seed int64, lanes, progLen int) {
 			}
 		}
 	}
-	if err := b.Replay(flat); err != nil {
+	if err := b.Replay(flat, batchTestCols); err != nil {
 		t.Fatal(err)
 	}
 	for lane, m := range seq {
@@ -168,6 +169,110 @@ func FuzzBatchedVsSequential(f *testing.F) {
 func TestBatchedVsSequentialSweep(t *testing.T) {
 	for lanes := 1; lanes <= MaxLanes; lanes++ {
 		runBatchedVsSequential(t, int64(1000+lanes), lanes, 32)
+	}
+}
+
+// cloneBatch returns an independent copy of b's cells, buffer and
+// activation latches.
+func cloneBatch(b *BatchMachine) *BatchMachine {
+	c := NewBatchMachine(len(b.Tiles), b.rows, b.cols)
+	for ti, t := range b.Tiles {
+		copy(c.Tiles[ti].lanes, t.lanes)
+		c.Tiles[ti].active = t.active
+	}
+	copy(c.Buffer, b.Buffer)
+	return c
+}
+
+// TestBoundedReplayMatchesFull: for random programs and a random live
+// bound, a column-local program's bounded replay leaves every column
+// below live (cells, buffer, activation) as the full replay does and
+// every column at or above it as it was; a program with a rotated write
+// ignores the bound and reaches the full replay's whole state.
+func TestBoundedReplayMatchesFull(t *testing.T) {
+	cfg := mtj.ModernSTT()
+	rng := rand.New(rand.NewSource(21))
+	for iter := 0; iter < 200; iter++ {
+		rotated := randBatchProgram(rng, 48)
+		rotated = append(rotated, isa.WriteRot(rng.Intn(batchTestTiles), rng.Intn(batchTestRows), 1+rng.Intn(batchTestCols-1)))
+		local := make(isa.Program, len(rotated))
+		for i, in := range rotated {
+			if in.Kind == isa.KindWrite {
+				in = isa.Write(int(in.Tile), int(in.Row))
+			}
+			local[i] = in
+		}
+		start := NewBatchMachine(batchTestTiles, batchTestRows, batchTestCols)
+		for _, tile := range start.Tiles {
+			for i := range tile.lanes {
+				tile.lanes[i] = rng.Uint64()
+			}
+		}
+		for c := range start.Buffer {
+			start.Buffer[c] = rng.Uint64()
+		}
+		live := 1 + rng.Intn(batchTestCols)
+
+		for _, tc := range []struct {
+			prog  isa.Program
+			local bool
+		}{{local, true}, {rotated, false}} {
+			flat, err := Flatten(tc.prog, cfg, batchTestTiles, batchTestRows, batchTestCols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if flat.ColumnLocal != tc.local {
+				t.Fatalf("iter %d: ColumnLocal %v, want %v", iter, flat.ColumnLocal, tc.local)
+			}
+			full, bounded := cloneBatch(start), cloneBatch(start)
+			if err := full.Replay(flat, batchTestCols); err != nil {
+				t.Fatal(err)
+			}
+			if err := bounded.Replay(flat, live); err != nil {
+				t.Fatal(err)
+			}
+			// Columns the bounded replay must agree on with the full one;
+			// the rest must be untouched.
+			agree := batchTestCols
+			if flat.ColumnLocal {
+				agree = live
+			}
+			for ti := range full.Tiles {
+				ft, bt, st := full.Tiles[ti], bounded.Tiles[ti], start.Tiles[ti]
+				for r := 0; r < batchTestRows; r++ {
+					for c := 0; c < batchTestCols; c++ {
+						want := ft.CellLanes(r, c)
+						if c >= agree {
+							want = st.CellLanes(r, c)
+						}
+						if got := bt.CellLanes(r, c); got != want {
+							t.Fatalf("iter %d (local %v, live %d): tile %d cell (%d, %d): %#x, want %#x",
+								iter, flat.ColumnLocal, live, ti, r, c, got, want)
+						}
+					}
+				}
+				var wantActive []uint16
+				for _, c := range ft.ActiveColumns() {
+					if int(c) < agree {
+						wantActive = append(wantActive, c)
+					}
+				}
+				if !slices.Equal(bt.ActiveColumns(), wantActive) {
+					t.Fatalf("iter %d (local %v, live %d): tile %d active %v, want %v",
+						iter, flat.ColumnLocal, live, ti, bt.ActiveColumns(), wantActive)
+				}
+			}
+			for c := 0; c < batchTestCols; c++ {
+				want := full.Buffer[c]
+				if c >= agree {
+					want = start.Buffer[c]
+				}
+				if bounded.Buffer[c] != want {
+					t.Fatalf("iter %d (local %v, live %d): buffer column %d: %#x, want %#x",
+						iter, flat.ColumnLocal, live, c, bounded.Buffer[c], want)
+				}
+			}
+		}
 	}
 }
 
@@ -218,7 +323,7 @@ func TestBatch64CopiesIdenticalOutputs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Replay(flat); err != nil {
+	if err := b.Replay(flat, batchTestCols); err != nil {
 		t.Fatal(err)
 	}
 	for _, tile := range b.Tiles {
@@ -236,7 +341,8 @@ func TestBatch64CopiesIdenticalOutputs(t *testing.T) {
 }
 
 // TestBatchReplayRejectsWrongGeometry: a program flattened for one
-// geometry must not replay on another.
+// geometry must not replay on another, nor with a live column bound
+// outside the machine.
 func TestBatchReplayRejectsWrongGeometry(t *testing.T) {
 	cfg := mtj.ModernSTT()
 	prog := isa.Program{isa.ActRange(true, 0, 0, 8, 1)}
@@ -244,11 +350,16 @@ func TestBatchReplayRejectsWrongGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := NewBatchMachine(1, 8, 16).Replay(flat); err == nil {
+	if err := NewBatchMachine(1, 8, 16).Replay(flat, 8); err == nil {
 		t.Fatal("replay accepted a mismatched geometry")
 	}
-	if err := NewBatchMachine(2, 8, 8).Replay(flat); err == nil {
+	if err := NewBatchMachine(2, 8, 8).Replay(flat, 8); err == nil {
 		t.Fatal("replay accepted a mismatched tile count")
+	}
+	for _, live := range []int{0, 9} {
+		if err := NewBatchMachine(1, 8, 8).Replay(flat, live); err == nil {
+			t.Fatalf("replay accepted live column bound %d", live)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package array
 
 import (
 	"fmt"
+	"slices"
 
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
@@ -11,12 +12,15 @@ import (
 // replays: every per-instruction decision is hoisted out of the replay
 // loop — instructions validated, rows checked against the concrete
 // machine geometry, write rotations wrapped at the tile width,
-// activation lists expanded/deduplicated/width-filtered, and each
-// gate's resistor-network truth table resolved to its (MinSwitchP,
-// target-state) threshold via mtj.Table. It performs, once, every
-// validation the scalar execution path performs per instruction; Replay
-// then touches none of those paths again. Program producers (the SVM
-// and BNN batch engines) call it once per program and replay per batch.
+// activation lists expanded/deduplicated/width-filtered/sorted, and
+// each gate's resistor-network truth table resolved to its
+// (MinSwitchP, target-state) threshold via mtj.Table. It also records
+// whether the program is column-local (FlatProgram.ColumnLocal), which
+// lets Replay bound a sparse batch to the columns it fills. It
+// performs, once, every validation the scalar execution path performs
+// per instruction; Replay then touches none of those paths again.
+// Program producers (the SVM and BNN batch engines) call it once per
+// program and replay per batch.
 func Flatten(p isa.Program, cfg *mtj.Config, nTiles, rows, cols int) (*FlatProgram, error) {
 	if nTiles <= 0 || nTiles > isa.BroadcastTile {
 		return nil, fmt.Errorf("array: bad tile count %d", nTiles)
@@ -24,7 +28,7 @@ func Flatten(p isa.Program, cfg *mtj.Config, nTiles, rows, cols int) (*FlatProgr
 	if rows <= 0 || cols <= 0 || rows > isa.Rows || cols > isa.Cols {
 		return nil, fmt.Errorf("array: bad tile geometry %dx%d", rows, cols)
 	}
-	fp := &FlatProgram{Ops: make([]FlatOp, 0, len(p)), Tiles: nTiles, Rows: rows, Cols: cols}
+	fp := &FlatProgram{Ops: make([]FlatOp, 0, len(p)), Tiles: nTiles, Rows: rows, Cols: cols, ColumnLocal: true}
 	checkRow := func(i int, row uint16) error {
 		if int(row) >= rows {
 			return fmt.Errorf("array: instruction %d: row %d out of range [0, %d)", i, row, rows)
@@ -49,6 +53,9 @@ func Flatten(p isa.Program, cfg *mtj.Config, nTiles, rows, cols int) (*FlatProgr
 			// Narrow machines wrap the rotation at their actual width,
 			// matching Machine's write path.
 			op.Rot = int(in.Rot) % cols
+			if op.Rot != 0 {
+				fp.ColumnLocal = false
+			}
 		case isa.KindPreset:
 			if err := checkRow(i, in.Row); err != nil {
 				return nil, err
@@ -82,12 +89,15 @@ func Flatten(p isa.Program, cfg *mtj.Config, nTiles, rows, cols int) (*FlatProgr
 			}
 			op.Broadcast = in.Broadcast
 			// Columns beyond the machine width are dropped here, exactly
-			// as the decoder (Tile.SetActive) ignores them.
+			// as the decoder (Tile.SetActive) ignores them. The latch is a
+			// set, so sorting changes nothing it selects; it lets Replay
+			// latch the columns below its live bound as a prefix.
 			for _, c := range in.ActiveColumns() {
 				if int(c) < cols {
 					op.Cols = append(op.Cols, c)
 				}
 			}
+			slices.Sort(op.Cols)
 		default:
 			return nil, fmt.Errorf("array: instruction %d: unknown kind %d", i, uint8(in.Kind))
 		}

@@ -19,8 +19,10 @@ import (
 type BatchRow struct {
 	// Workload names the internal/workload hot-batch entry.
 	Workload string
-	// Lanes is the bit-slice width used (1–64); SamplesPerBatch is
-	// Lanes times the mapping's column batch.
+	// Lanes is the batch size in units of the mapping's column batch
+	// (1–64); SamplesPerBatch is Lanes times that column batch. The
+	// SVM fills Lanes bit-slice lanes; the BNN, whose engine places
+	// samples lane-major, fills Lanes columns of all 64 lanes.
 	Lanes           int
 	SamplesPerBatch int
 	// Mismatches counts batched labels that disagreed with the

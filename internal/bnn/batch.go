@@ -10,10 +10,15 @@ import (
 // BatchEngine multiplies the mapping's column batch by the lane axis:
 // the compiled program already classifies Columns samples per pass (one
 // per column), and the bit-sliced arena runs array.MaxLanes independent
-// copies of that pass per replay — capacity Columns×64 samples, sample
-// s in lane s/Columns, column s%Columns. The program is flattened once
-// and the arena reused, so the steady-state classify loop performs no
-// allocation and no per-instruction validation.
+// copies of that pass per replay — capacity Columns×64 samples.
+// Placement is lane-major: sample s sits in lane s%64 of column s/64, so
+// a batch of n samples fills the first ceil(n/64) columns. The mapping
+// never moves data across columns, so its program is column-local
+// (array.FlatProgram.ColumnLocal) and the replay touches only the
+// filled columns: an 8-sample batch replays one column, not Columns.
+// The program is flattened once and the arena reused, so the
+// steady-state classify loop performs no allocation and no
+// per-instruction validation.
 //
 // Like the SVM batch engine this is the continuous-power fast path
 // only; intermittent execution keeps the scalar controller path.
@@ -52,10 +57,14 @@ func (m *Mapping) NewBatchEngine(cfg *mtj.Config, rows int, net *Network) (*Batc
 func (e *BatchEngine) Capacity() int { return e.m.Columns * array.MaxLanes }
 
 // place maps sample s to its (lane, column) slot.
-func (e *BatchEngine) place(s int) (lane, col int) { return s / e.m.Columns, s % e.m.Columns }
+func place(s int) (lane, col int) { return s % array.MaxLanes, s / array.MaxLanes }
+
+// liveColumns returns the columns a batch of n samples fills.
+func liveColumns(n int) int { return (n + array.MaxLanes - 1) / array.MaxLanes }
 
 // LoadInputs packs the samples into their (lane, column) slots — the
-// lane-sliced image of Mapping.LoadInputs.
+// lane-sliced image of Mapping.LoadInputs. Only the filled columns are
+// written; the replay never reads the others.
 func (e *BatchEngine) LoadInputs(samples [][]int) error {
 	if len(samples) == 0 || len(samples) > e.Capacity() {
 		return fmt.Errorf("bnn: batch of %d samples out of range [1, %d]", len(samples), e.Capacity())
@@ -68,18 +77,17 @@ func (e *BatchEngine) LoadInputs(samples [][]int) error {
 			}
 		}
 		// One lane word per (cell, column): column col's word collects
-		// samples col, col+Columns, col+2·Columns, ...
-		usedCols := len(samples)
-		if usedCols > e.m.Columns {
-			usedCols = e.m.Columns
-		}
+		// the 64 contiguous samples from col·64, lane k holding sample
+		// col·64+k.
+		live := liveColumns(len(samples))
 		for i := 0; i < nFeatures; i++ {
 			rows := featureRows(i)
 			for bi, row := range rows {
-				for col := 0; col < usedCols; col++ {
+				for col := 0; col < live; col++ {
+					lanes := samples[col*array.MaxLanes : min((col+1)*array.MaxLanes, len(samples))]
 					var w uint64
-					for s := col; s < len(samples); s += e.m.Columns {
-						w |= uint64(samples[s][i]>>bi&1) << (s / e.m.Columns)
+					for lane, x := range lanes {
+						w |= uint64(x[i]>>bi&1) << lane
 					}
 					t.SetCellLanes(row, col, w)
 				}
@@ -113,12 +121,12 @@ func (e *BatchEngine) ClassifyBatchInto(dst []int, samples [][]int) error {
 	if err := e.LoadInputs(samples); err != nil {
 		return err
 	}
-	if err := e.arena.Replay(e.flat); err != nil {
+	if err := e.arena.Replay(e.flat, liveColumns(len(samples))); err != nil {
 		return err
 	}
 	t := e.arena.Tiles[0]
 	for s := range samples {
-		lane, col := e.place(s)
+		lane, col := place(s)
 		best, bestScore := 0, 0
 		for class, rows := range e.m.PopRows {
 			bits := e.bits[:len(rows)]

@@ -1,6 +1,7 @@
 package bnn
 
 import (
+	"math/rand"
 	"testing"
 
 	"mouse/internal/dataset"
@@ -122,6 +123,109 @@ func TestBNNBatch8BitInputs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// requireEveryFill reuses one engine for every fill n = 1..Capacity in
+// a shuffled order, so small batches follow large ones and replay over
+// columns and lanes a larger batch left dirty. Each batch draws its
+// samples at random from pool; every label must equal that sample's
+// label on the sequential controller path and under the golden network
+// model. Columns of the controller path are independent, so the
+// sequential labels are computed once per pool sample, Columns samples
+// per controller run.
+func requireEveryFill(t *testing.T, mp *Mapping, net *Network, pool [][]int, seed int64) {
+	t.Helper()
+	cfg := mtj.ModernSTT()
+	eng, err := mp.NewBatchEngine(cfg, 1024, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := mp.NewMachine(cfg, 1024)
+	want := make([]int, 0, len(pool))
+	for start := 0; start < len(pool); start += mp.Columns {
+		got, err := mp.ClassifyBatch(mach, net, pool[start:min(start+mp.Columns, len(pool))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, got...)
+	}
+	for i, x := range pool {
+		scores := net.Scores(x)
+		best := 0
+		for c, s := range scores {
+			if c == 0 || s > scores[best] {
+				best = c
+			}
+		}
+		if want[i] != best {
+			t.Fatalf("pool sample %d: sequential class %d, golden %d", i, want[i], best)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	dst := make([]int, eng.Capacity())
+	batch := make([][]int, eng.Capacity())
+	idx := make([]int, eng.Capacity())
+	for _, n := range rng.Perm(eng.Capacity()) {
+		n++
+		for i := 0; i < n; i++ {
+			idx[i] = rng.Intn(len(pool))
+			batch[i] = pool[idx[i]]
+		}
+		if err := eng.ClassifyBatchInto(dst[:n], batch[:n]); err != nil {
+			t.Fatalf("fill %d: %v", n, err)
+		}
+		for i := 0; i < n; i++ {
+			if dst[i] != want[idx[i]] {
+				t.Fatalf("fill %d sample %d: batched class %d, sequential and golden %d", n, i, dst[i], want[idx[i]])
+			}
+		}
+	}
+}
+
+// TestBNNBatchEveryFill: the lane-major engine with its live-column
+// bound classifies every fill of a small-column mapping exactly like the
+// sequential path, on the binarized and the 8-bit input path.
+func TestBNNBatchEveryFill(t *testing.T) {
+	t.Run("binary", func(t *testing.T) {
+		ds := tinyBinSet(43, 16, 3, 30)
+		net, err := Train(ds, tinyConfig(16, 3), DefaultTrainConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, err := CompileMapping(net, 1024, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		pool := make([][]int, 4*64)
+		for i := range pool {
+			pool[i] = make([]int, 16)
+			for j := range pool[i] {
+				pool[i][j] = rng.Intn(2)
+			}
+		}
+		requireEveryFill(t, mp, net, pool, 6)
+	})
+	t.Run("8-bit", func(t *testing.T) {
+		ds := dataset.Adult(47, 120, 30)
+		netCfg := Config{Name: "t8", In: 15, Hidden: []int{8}, Out: 2, InputBits: 8}
+		net, err := Train(ds, netCfg, TrainConfig{Epochs: 8, LR: 0.01, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, err := CompileMapping(net, 1024, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pool [][]int
+		for _, set := range [][]dataset.Sample{ds.Train, ds.Test} {
+			for _, smp := range set {
+				pool = append(pool, smp.X)
+			}
+		}
+		requireEveryFill(t, mp, net, pool, 7)
+	})
 }
 
 // TestBNNBatchValidatesInput: shape errors are caught before replay.

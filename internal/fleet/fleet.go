@@ -206,7 +206,8 @@ type WorkloadInfo struct {
 	// Capacity is the most samples one batched replay serves (64 lanes
 	// times the mapping's column batch); also the per-request limit.
 	Capacity int `json:"capacity"`
-	// LaneWidth is the samples served per bit-slice lane.
+	// LaneWidth is the mapping's column batch (workload.HotBatch's
+	// LaneWidth): Capacity is 64 times it.
 	LaneWidth int `json:"lane_width"`
 }
 

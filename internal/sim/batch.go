@@ -128,7 +128,7 @@ func (r *RunnerBatch) runBatched(lanes int, visit func(int, *array.Machine) erro
 			return nil, fmt.Errorf("sim: loading lane %d: %w", lane, err)
 		}
 	}
-	if err := r.arena.Replay(r.flat); err != nil {
+	if err := r.arena.Replay(r.flat, r.arena.Cols()); err != nil {
 		return nil, err
 	}
 	if !r.basePriced {

@@ -54,8 +54,9 @@ import (
 // chain (~45 cycles of latency per retired op when folding fresh);
 // round-robin stepping across independent lanes lets the out-of-order
 // core overlap the chains, turning the fold latency-bound into
-// throughput-bound — a ~4x gain on drain-dominated grids on top of the
-// window cache, at identical per-lane arithmetic.
+// throughput-bound — on SVM ADULT on a 2-vCPU VM about 1.5-2x over
+// running the 8 lanes one by one (about 6.7 ms against 3.0-4.7 ms), on
+// top of the window cache, at identical per-lane arithmetic.
 //
 // The harvester is written back in bulk on exit: the buffer voltage is
 // exact; the clock advances by OnLatency+OffLatency, which can differ

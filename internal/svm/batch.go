@@ -138,7 +138,7 @@ func (e *BatchEngine) run(samples [][]int) error {
 	if err := e.LoadInputs(samples); err != nil {
 		return err
 	}
-	return e.arena.Replay(e.flat)
+	return e.arena.Replay(e.flat, e.arena.Cols())
 }
 
 // laneScores reads one lane's class scores into the scratch slice, the

@@ -33,8 +33,11 @@ type HotBatch struct {
 	// times the mapping's column batch.
 	Capacity int
 
-	// LaneWidth is the samples served per lane (the mapping's column
-	// batch); a run at L lanes batches L*LaneWidth samples.
+	// LaneWidth is the mapping's column batch: the samples one
+	// sequential controller pass classifies. A batch of L*LaneWidth
+	// samples fills L of the SVM's 64 lanes (one sample per lane across
+	// every column), and L of the BNN's columns in all 64 lanes (its
+	// engine places samples lane-major and replays only filled columns).
 	LaneWidth int
 
 	// Samples returns n deterministic input vectors, cycling the
@@ -159,7 +162,8 @@ func hotSVM() HotBatch {
 // --- small binarized network, column-batched mapping (64 per run) ---
 
 // bnnHotBatch is the mapping's column batch: 64 samples per controller
-// pass sequentially, 64*64 per replay batched.
+// pass sequentially, 64*64 per replay batched (64 lanes in each of 64
+// columns).
 const bnnHotBatch = 64
 
 var bnnHot struct {

@@ -1,7 +1,12 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
+
+	"mouse/internal/array"
+	"mouse/internal/isa"
+	"mouse/internal/mtj"
 )
 
 // TestHotBatchesMatchSequential: every registry entry's batched
@@ -65,5 +70,75 @@ func TestHotBatchByName(t *testing.T) {
 	}
 	if _, err := HotBatchByName("nope"); err == nil {
 		t.Fatal("unknown hot batch accepted")
+	}
+}
+
+// TestHotBatchColumnLocal: Flatten marks the column-batched BNN program
+// column-local, so its replay is bounded to the columns a batch fills,
+// and the SV-parallel SVM program not, because its reduction tree
+// rotates partial sums across columns.
+func TestHotBatchColumnLocal(t *testing.T) {
+	_, _, bnnMp, err := bnnHotModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, svmMp, err := svmHotModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		prog  isa.Program
+		cols  int
+		local bool
+	}{
+		{"bnn-hidden16", bnnMp.Prog, bnnMp.Columns, true},
+		{"svm-adult", svmMp.Prog, svmMp.Columns, false},
+	} {
+		flat, err := array.Flatten(tc.prog, mtj.ModernSTT(), 1, 1024, tc.cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flat.ColumnLocal != tc.local {
+			t.Errorf("%s: ColumnLocal %v, want %v", tc.name, flat.ColumnLocal, tc.local)
+		}
+	}
+}
+
+// TestHotBNNFills: one reused bnn-hidden16 classifier labels batches at
+// the fills around its lane and column boundaries — small batches after
+// full ones, so stale columns and lanes are in play — exactly like the
+// sequential controller path. Each batch is shuffled so a misplaced
+// sample reads another sample's label.
+func TestHotBNNFills(t *testing.T) {
+	hb, err := HotBatchByName("bnn-hidden16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := hb.NewBatched()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sequential, err := hb.NewSequential()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{4096, 1, 65, 4095, 8, 64, 63} {
+		samples := hb.Samples(n)
+		rng.Shuffle(n, func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
+		got, err := batched(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sequential(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("fill %d sample %d: batched class %d, sequential %d", n, i, got[i], want[i])
+			}
+		}
 	}
 }
