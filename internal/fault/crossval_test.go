@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"mouse/internal/compile"
 	"mouse/internal/energy"
+	"mouse/internal/isa"
 	"mouse/internal/lint"
 	"mouse/internal/mtj"
 	"mouse/internal/power"
@@ -101,67 +103,96 @@ func TestInfeasibleCapacitorAgreement(t *testing.T) {
 	}
 }
 
+// twoActProgram multiplies on two columns, then widens the activation
+// to all eight and multiplies again: a restart after the second ACT
+// re-latches more columns than one before it, so the checkpoint
+// regions that span the widening must charge the wider restore.
+func twoActProgram() (isa.Program, error) {
+	b := compile.NewBuilder(arithRows)
+	b.ActivateBroadcast([]uint16{0, 1})
+	x := b.AllocWord(6, 0)
+	y := b.AllocWord(6, 0)
+	p := b.MulWords(x, y)
+	b.ActivateBroadcast([]uint16{0, 1, 2, 3, 4, 5, 6, 7})
+	b.MulWords(p[:6], x)
+	return b.Program()
+}
+
 // TestIntervalAgreementOnSmallBuffer compares the energy verdicts at
-// every checkpoint interval on a buffer sized between the arith
-// program's costliest instruction and its whole-program region: the
+// every checkpoint interval on a buffer sized between a program's
+// costliest instruction and its whole-program region: the
 // per-instruction checkpoint is certified, the single region is not,
 // and the simulator must agree — completing wherever the certificate
 // is feasible and stopping with ErrNonTermination, not hanging, where
-// it refuses.
+// it refuses. The two-ACT program checks that the certificate's
+// restore (the last executed ACT's columns) covers the loop's ACT
+// register when a region spans the widening ACT.
 func TestIntervalAgreementOnSmallBuffer(t *testing.T) {
-	cfg := *mtj.ModernSTT()
-	prog, _, _, err := compiledArith(&cfg)
+	arith, _, _, err := compiledArith(mtj.ModernSTT())
 	if err != nil {
 		t.Fatal(err)
 	}
-	subject := Subject{Workload: Arith(&cfg), Prog: prog, Tiles: 1, Rows: arithRows, Cols: arithCols}
-	lopts := lint.Options{
-		Geometry: lint.Geometry{Tiles: 1, Rows: arithRows, Cols: arithCols},
-		Config:   &cfg,
+	twoAct, err := twoActProgram()
+	if err != nil {
+		t.Fatal(err)
 	}
-	worst := func(k int) float64 {
-		lopts.CheckpointInterval = k
-		cert, err := lint.Certify(prog, lopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cert.Regions[cert.WorstRegion].WCEJ
-	}
-	windowJ := math.Sqrt(worst(1) * worst(len(prog)+1))
-	cfg.CapC = 2 * windowJ / (cfg.CapVMax*cfg.CapVMax - cfg.CapVMin*cfg.CapVMin)
+	for _, tc := range []struct {
+		name string
+		prog isa.Program
+	}{{"arith", arith}, {"two ACTs, wider second", twoAct}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := *mtj.ModernSTT()
+			subject := Subject{Workload: Workload{Name: tc.name}, Prog: tc.prog, Tiles: 1, Rows: arithRows, Cols: arithCols}
+			lopts := lint.Options{
+				Geometry: lint.Geometry{Tiles: 1, Rows: arithRows, Cols: arithCols},
+				Config:   &cfg,
+			}
+			worst := func(k int) float64 {
+				lopts.CheckpointInterval = k
+				cert, err := lint.Certify(tc.prog, lopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cert.Regions[cert.WorstRegion].WCEJ
+			}
+			windowJ := math.Sqrt(worst(1) * worst(len(tc.prog)+1))
+			cfg.CapC = 2 * windowJ / (cfg.CapVMax*cfg.CapVMax - cfg.CapVMin*cfg.CapVMin)
 
-	model := energy.NewModel(&cfg)
-	model.RowBits = arithCols
-	runner := sim.NewRunner(model)
-	var vs []IntervalVerdict
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		vs, err = intervalVerdicts(subject, &cfg, lopts, runner)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("interval runs still going after 10s: livelock")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range vs {
-		if v.Err != nil && !errors.Is(v.Err, sim.ErrNonTermination) {
-			t.Fatalf("interval %d: %v", v.Interval, v.Err)
-		}
-		if v.Feasible && !v.Completed {
-			t.Errorf("interval %d: certified feasible but the run did not complete: %v", v.Interval, v.Err)
-		}
-	}
-	if first := vs[0]; !first.Feasible || !first.Completed {
-		t.Errorf("interval 1 should be certified and complete: %+v", first)
-	}
-	if last := vs[len(vs)-1]; last.Feasible || !errors.Is(last.Err, sim.ErrNonTermination) {
-		t.Errorf("interval %d should be refused by both sides: %+v", last.Interval, last)
-	}
-	for _, v := range vs {
-		t.Logf("interval %d: feasible=%v completed=%v err=%v", v.Interval, v.Feasible, v.Completed, v.Err)
+			model := energy.NewModel(&cfg)
+			model.RowBits = arithCols
+			runner := sim.NewRunner(model)
+			var vs []IntervalVerdict
+			var runErr error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				vs, runErr = intervalVerdicts(subject, &cfg, lopts, runner)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("interval runs still going after 10s: livelock")
+			}
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			for _, v := range vs {
+				if v.Err != nil && !errors.Is(v.Err, sim.ErrNonTermination) {
+					t.Fatalf("interval %d: %v", v.Interval, v.Err)
+				}
+				if v.Feasible && !v.Completed {
+					t.Errorf("interval %d: certified feasible but the run did not complete: %v", v.Interval, v.Err)
+				}
+			}
+			if first := vs[0]; !first.Feasible || !first.Completed {
+				t.Errorf("interval 1 should be certified and complete: %+v", first)
+			}
+			if last := vs[len(vs)-1]; last.Feasible || !errors.Is(last.Err, sim.ErrNonTermination) {
+				t.Errorf("interval %d should be refused by both sides: %+v", last.Interval, last)
+			}
+			for _, v := range vs {
+				t.Logf("interval %d: feasible=%v completed=%v err=%v", v.Interval, v.Feasible, v.Completed, v.Err)
+			}
+		})
 	}
 }

@@ -104,6 +104,43 @@ func TestStreamSweep(t *testing.T) {
 	requireClean(t, rep)
 }
 
+// TestCrossLayerVerdicts crashes the arith program on the machine layer
+// (Arith) and the trace layer (ArithStream) at the same points, every
+// µ-phase band included, and requires equal verdicts point for point.
+// Both layers restore the columns of the ACT register, so an outage past
+// the leading ACT's register commit (index 0 at frac 0.92 and 0.97)
+// costs the same restore on both.
+func TestCrossLayerVerdicts(t *testing.T) {
+	cfg := mtj.ModernSTT()
+	sw, err := ArithStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Stride: 16}
+	machine, err := Sweep(Arith(cfg), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := SweepStream(sw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if machine.Instructions != trace.Instructions || len(machine.Verdicts) != len(trace.Verdicts) {
+		t.Fatalf("machine layer: %d instructions, %d points; trace layer: %d instructions, %d points",
+			machine.Instructions, len(machine.Verdicts), trace.Instructions, len(trace.Verdicts))
+	}
+	diff := 0
+	for i, m := range machine.Verdicts {
+		if tr := trace.Verdicts[i]; m != tr {
+			diff++
+			t.Errorf("instr %d frac %.2f: machine %+v, trace %+v", m.Index, m.Frac, m, tr)
+		}
+	}
+	if diff > 0 {
+		t.Fatalf("layers disagree at %d of %d points", diff, len(machine.Verdicts))
+	}
+}
+
 // TestSerialParallelDeterminism: the same sweep at workers=1 and
 // workers=8 must produce identical normalized reports.
 func TestSerialParallelDeterminism(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mouse/internal/mtj"
 	"mouse/internal/power"
 	"mouse/internal/probe"
 	"mouse/internal/workload"
@@ -29,9 +30,14 @@ type Device struct {
 	lastCredit time.Time
 }
 
+// buffer is every device's energy buffer: mtj.ModernSTT's capacitor
+// (100 µF, 0.320–0.340 V), charged to CapVMax at boot and unusable
+// below CapVMin.
+var buffer = mtj.ModernSTT()
+
 // floorJ and fullJ are the capacitor's usable-energy bounds.
-func (f *Fleet) floorJ() float64 { return power.EnergyOf(f.cfg.CapacitanceF, f.cfg.VOff) }
-func (f *Fleet) fullJ() float64  { return power.EnergyOf(f.cfg.CapacitanceF, f.cfg.VOn) }
+func (f *Fleet) floorJ() float64 { return power.EnergyOf(buffer.CapC, buffer.CapVMin) }
+func (f *Fleet) fullJ() float64  { return power.EnergyOf(buffer.CapC, buffer.CapVMax) }
 
 func newDevice(f *Fleet, id int) *Device {
 	d := &Device{
@@ -43,7 +49,7 @@ func newDevice(f *Fleet, id int) *Device {
 		storedJ: f.fullJ(),
 	}
 	d.lastCredit = f.start
-	d.stats.VoltageSample(0, f.cfg.VOn)
+	d.stats.VoltageSample(0, buffer.CapVMax)
 	return d
 }
 
@@ -129,7 +135,7 @@ func (d *Device) credit(now time.Time) {
 // voltsLocked derives the capacitor voltage from the stored energy
 // (V = sqrt(2E/C)). Callers hold d.mu.
 func (d *Device) voltsLocked() float64 {
-	return power.VoltageAfterAdd(d.f.cfg.CapacitanceF, 0, d.storedJ)
+	return power.VoltageAfterAdd(buffer.CapC, 0, d.storedJ)
 }
 
 // drawOrWait spends cost joules of charge. If the capacitor holds less
@@ -197,7 +203,7 @@ func (d *Device) Available() float64 {
 func (d *Device) Charge() (joules, volts float64) {
 	if d.f.cfg.Mode == Continuous {
 		full := d.f.fullJ()
-		return full, d.f.cfg.VOn
+		return full, buffer.CapVMax
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -9,13 +9,13 @@
 // view is one Stats.Merge away.
 //
 // The energy model is the serving-layer image of the simulator's
-// capacitor: a device stores E = ½CV² between the shutdown floor VOff
-// and the restart threshold VOn, harvests HarvestW joules per
-// wall-clock second, and spends EnergyPerSampleJ per classified
-// sample. A batch whose cost exceeds the stored energy stalls the
-// device for the recharge time — recorded as an outage on the device's
-// probe shard — which is what makes placement by charge and admission
-// backpressure observable end to end.
+// capacitor: a device stores E = ½CV² in mtj.ModernSTT's energy
+// buffer, between its shutdown floor and restart threshold, harvests
+// HarvestW joules per wall-clock second, and spends EnergyPerSampleJ
+// per classified sample. A batch whose cost exceeds the stored energy
+// stalls the device for the recharge time — recorded as an outage on
+// the device's probe shard — which is what makes placement by charge
+// and admission backpressure observable end to end.
 package fleet
 
 import (
@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mouse/internal/mtj"
 	"mouse/internal/probe"
 	"mouse/internal/workload"
 )
@@ -41,9 +40,9 @@ const (
 	// tracking, no stalls, round-robin placement. The latency baseline.
 	Continuous PowerMode = "continuous"
 
-	// Harvested gives each device a VOff..VOn capacitor window topped
-	// up at HarvestW; batches that outrun the harvest stall the device
-	// and the scheduler routes around it by charge.
+	// Harvested gives each device mtj.ModernSTT's capacitor window
+	// topped up at HarvestW; batches that outrun the harvest stall the
+	// device and the scheduler routes around it by charge.
 	Harvested PowerMode = "harvested"
 )
 
@@ -68,11 +67,6 @@ type Config struct {
 	// HarvestW is the per-device harvest rate in watts (Harvested mode).
 	HarvestW float64
 
-	// CapacitanceF, VOn, VOff describe the per-device energy buffer:
-	// CapacitanceF farads charged to VOn at boot, unusable below VOff.
-	CapacitanceF float64
-	VOn, VOff    float64
-
 	// EnergyPerSampleJ is the charge drawn per classified sample.
 	EnergyPerSampleJ float64
 
@@ -81,20 +75,15 @@ type Config struct {
 	Workloads []string
 }
 
-// DefaultConfig returns a small harvested fleet on the modern-STT
-// capacitor window (100 µF, 0.320–0.340 V — mtj.ModernSTT's energy
-// buffer), a 5 mW harvester, and 2 µJ per sample.
+// DefaultConfig returns a small harvested fleet with a 5 mW harvester
+// and 2 µJ per sample.
 func DefaultConfig() Config {
-	cfg := mtj.ModernSTT()
 	return Config{
 		Devices:          4,
 		QueueDepth:       256,
 		BatchLinger:      2 * time.Millisecond,
 		Mode:             Harvested,
 		HarvestW:         5e-3,
-		CapacitanceF:     cfg.CapC,
-		VOn:              cfg.CapVMax,
-		VOff:             cfg.CapVMin,
 		EnergyPerSampleJ: 2e-6,
 	}
 }
@@ -107,13 +96,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("fleet: queue depth %d", c.QueueDepth)
 	case c.Mode != Continuous && c.Mode != Harvested:
 		return fmt.Errorf("fleet: unknown power mode %q", c.Mode)
-	case !finite(c.HarvestW, c.CapacitanceF, c.VOn, c.VOff, c.EnergyPerSampleJ):
-		return fmt.Errorf("fleet: non-finite energy parameter (harvest %g W, capacitance %g F, window [%g, %g] V, %g J per sample)",
-			c.HarvestW, c.CapacitanceF, c.VOff, c.VOn, c.EnergyPerSampleJ)
-	case c.CapacitanceF <= 0:
-		return fmt.Errorf("fleet: capacitance %g F", c.CapacitanceF)
-	case c.VOff <= 0 || c.VOn <= c.VOff:
-		return fmt.Errorf("fleet: capacitor window [%g, %g] V invalid", c.VOff, c.VOn)
+	case !finite(c.HarvestW, c.EnergyPerSampleJ):
+		return fmt.Errorf("fleet: non-finite energy parameter (harvest %g W, %g J per sample)",
+			c.HarvestW, c.EnergyPerSampleJ)
 	case c.EnergyPerSampleJ < 0:
 		return fmt.Errorf("fleet: energy per sample %g J", c.EnergyPerSampleJ)
 	case c.Mode == Harvested && c.HarvestW <= 0:

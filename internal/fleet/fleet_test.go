@@ -33,15 +33,13 @@ func newFleet(t *testing.T, cfg Config) *Fleet {
 
 func TestConfigValidation(t *testing.T) {
 	mut := map[string]func(*Config){
-		"no devices":     func(c *Config) { c.Devices = 0 },
-		"no queue":       func(c *Config) { c.QueueDepth = 0 },
-		"bad mode":       func(c *Config) { c.Mode = "solar" },
-		"no capacitance": func(c *Config) { c.CapacitanceF = 0 },
-		"window":         func(c *Config) { c.VOn = c.VOff },
-		"negative cost":  func(c *Config) { c.EnergyPerSampleJ = -1 },
-		"no harvest":     func(c *Config) { c.HarvestW = 0 },
-		"bad workload":   func(c *Config) { c.Workloads = []string{"frobnicate"} },
-		"dup workload":   func(c *Config) { c.Workloads = []string{"svm-adult", "svm-adult"} },
+		"no devices":    func(c *Config) { c.Devices = 0 },
+		"no queue":      func(c *Config) { c.QueueDepth = 0 },
+		"bad mode":      func(c *Config) { c.Mode = "solar" },
+		"negative cost": func(c *Config) { c.EnergyPerSampleJ = -1 },
+		"no harvest":    func(c *Config) { c.HarvestW = 0 },
+		"bad workload":  func(c *Config) { c.Workloads = []string{"frobnicate"} },
+		"dup workload":  func(c *Config) { c.Workloads = []string{"svm-adult", "svm-adult"} },
 	}
 	for name, fn := range mut {
 		cfg := DefaultConfig()
@@ -61,9 +59,6 @@ func TestConfigValidation(t *testing.T) {
 func TestConfigRejectsNonFinite(t *testing.T) {
 	fields := map[string]func(*Config) *float64{
 		"HarvestW":         func(c *Config) *float64 { return &c.HarvestW },
-		"CapacitanceF":     func(c *Config) *float64 { return &c.CapacitanceF },
-		"VOn":              func(c *Config) *float64 { return &c.VOn },
-		"VOff":             func(c *Config) *float64 { return &c.VOff },
 		"EnergyPerSampleJ": func(c *Config) *float64 { return &c.EnergyPerSampleJ },
 	}
 	for name, field := range fields {
@@ -249,12 +244,12 @@ func TestHarvestedStallRecordsOutage(t *testing.T) {
 	if sec.OutageSeconds <= 0 {
 		t.Errorf("outage seconds %g, want > 0", sec.OutageSeconds)
 	}
-	if sec.VoltageMin < cfg.VOff-1e-9 || sec.VoltageMin >= sec.VoltageMax {
+	if sec.VoltageMin < buffer.CapVMin-1e-9 || sec.VoltageMin >= sec.VoltageMax {
 		t.Errorf("voltage excursion [%g, %g] outside capacitor window [%g, %g]",
-			sec.VoltageMin, sec.VoltageMax, cfg.VOff, cfg.VOn)
+			sec.VoltageMin, sec.VoltageMax, buffer.CapVMin, buffer.CapVMax)
 	}
 	j, v := f.DeviceCharge(0)
-	if j > f.fullJ() || v > cfg.VOn+1e-9 {
+	if j > f.fullJ() || v > buffer.CapVMax+1e-9 {
 		t.Errorf("charge %g J / %g V above the full window", j, v)
 	}
 }
@@ -357,7 +352,7 @@ func TestIntrospection(t *testing.T) {
 		t.Error("introspection misreports an idle fleet")
 	}
 	j, v := f.DeviceCharge(0)
-	if j != f.fullJ() || v != f.cfg.VOn {
+	if j != f.fullJ() || v != buffer.CapVMax {
 		t.Errorf("continuous device charge %g J / %g V, want the full window", j, v)
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"mouse/internal/array"
@@ -161,28 +160,28 @@ func TestPackedAndScalarRunsAreByteIdentical(t *testing.T) {
 	}
 }
 
-// restoreLog records every outage and the columns each restart
-// re-latched. Each outage emits one PulseInterrupted and, unless the run
-// stops there, one Restored, so cuts[i] is the outage behind cols[i].
-type restoreLog struct {
+// lateActCuts counts the outages that cut an ACT at or past its
+// register commit, where a restart re-latches that ACT's columns.
+type lateActCuts struct {
 	probe.Nop
-	cuts []probe.Interrupt
-	cols []int
+	n int
 }
 
-func (l *restoreLog) PulseInterrupted(ev probe.Interrupt) { l.cuts = append(l.cuts, ev) }
-func (l *restoreLog) Restored(ev probe.Restore)           { l.cols = append(l.cols, ev.Cols) }
+func (l *lateActCuts) PulseInterrupted(ev probe.Interrupt) {
+	if ev.Kind == isa.KindAct && ev.Frac >= actRegCommitFrac {
+		l.n++
+	}
+}
 
 // TestTraceLayerMatchesFunctionalLayer is the cross-layer consistency
-// guarantee. Both layers run Runner's one stepping loop, so for the same
-// program the trace layer (stepping and segment engines) and the
-// bit-accurate functional layer must return equal Results under
-// continuous power, and under every harvested supply at which both
-// restart with the same column sequence — the same ErrNonTermination
-// included. The one documented difference is which columns a restart
-// re-latches after an outage lands past an ACT's register commit
-// (frac >= 0.90): the functional layer restores the interrupted ACT's
-// columns, the trace layer the previous ACT's.
+// guarantee. Both layers run Runner's one stepping loop and its one
+// restore-column rule, so for the same program the trace layer
+// (stepping and segment engines) and the bit-accurate functional layer
+// must return equal Results under continuous power and under every
+// harvested supply of the grid — the same ErrNonTermination included.
+// The grid must reach outages past an ACT's register commit, where the
+// functional restart checks the loop's rule against the controller's
+// non-volatile register.
 func TestTraceLayerMatchesFunctionalLayer(t *testing.T) {
 	cfg := mtj.ModernSTT()
 	b := compile.NewBuilder(64)
@@ -217,7 +216,7 @@ func TestTraceLayerMatchesFunctionalLayer(t *testing.T) {
 		}
 		return err.Error()
 	}
-	var agreed, stopped, diverged int
+	var agreed, stopped, late int
 	for _, tc := range cases {
 		// The trace layer prices with the functional runner's model,
 		// including the machine-specific row width it derives.
@@ -241,61 +240,21 @@ func TestTraceLayerMatchesFunctionalLayer(t *testing.T) {
 		if !tc.grid {
 			continue
 		}
-		// Columns each ACT of the program latches, in program order.
-		var acts []int
-		for _, in := range tc.prog {
-			if in.Kind == isa.KindAct {
-				acts = append(acts, actCols(in, 2))
-			}
-		}
 		for _, watts := range []float64{0.1e-6, 0.3e-6, 1e-6, 2e-6, 4e-6, 8e-6, 15e-6, 30e-6} {
 			for _, capF := range []float64{0.2e-9, 0.5e-9, 1e-9, 2.5e-9, 5e-9} {
 				name := fmt.Sprintf("%s %.3g W %.3g F", tc.name, watts, capF)
 				harvester := func() *power.Harvester {
 					return power.NewHarvester(power.Constant{W: watts}, capF, cfg.CapVMin, cfg.CapVMax)
 				}
-				trace := func(forceStepping bool, obs probe.Observer) (Result, error) {
-					r := NewRunner(mr.Model)
-					r.ForceStepping, r.Obs = forceStepping, obs
-					return r.Run(StreamFromProgram(tc.prog, 2), harvester())
+				var cuts lateActCuts
+				_, want, wantErr := functional(harvester(), &cuts)
+				if cuts.n > 0 {
+					late++
 				}
-				var fl, tl restoreLog
-				functional(harvester(), &fl)
-				trace(true, &tl)
-				if !slices.Equal(fl.cols, tl.cols) {
-					diverged++
-					i := 0
-					for i < len(fl.cols) && i < len(tl.cols) && fl.cols[i] == tl.cols[i] {
-						i++
-					}
-					if i == len(fl.cols) || i == len(tl.cols) {
-						t.Fatalf("%s: %d functional restores vs %d trace restores %v / %v", name, len(fl.cols), len(tl.cols), fl.cols, tl.cols)
-					}
-					cut := fl.cuts[i]
-					if cut != tl.cuts[i] || cut.Kind != isa.KindAct || cut.Frac < 0.90 {
-						t.Fatalf("%s: restore %d differs (%d vs %d columns) after outage %+v / %+v, want both cut past an ACT's register commit",
-							name, i, fl.cols[i], tl.cols[i], cut, tl.cuts[i])
-					}
-					// The interrupted ACT is acts[j]: the functional layer
-					// restores its columns, the trace layer those of the
-					// ACT before it (none before the first).
-					ok := false
-					for j, cols := range acts {
-						prev := 0
-						if j > 0 {
-							prev = acts[j-1]
-						}
-						ok = ok || (fl.cols[i] == cols && tl.cols[i] == prev)
-					}
-					if !ok {
-						t.Fatalf("%s: restore %d re-latched %d columns (functional) vs %d (trace), want an ACT's columns vs its predecessor's (ACTs latch %v)",
-							name, i, fl.cols[i], tl.cols[i], acts)
-					}
-					continue
-				}
-				_, want, wantErr := functional(harvester(), nil)
 				for _, stepping := range []bool{true, false} {
-					got, gotErr := trace(stepping, nil)
+					r := NewRunner(mr.Model)
+					r.ForceStepping = stepping
+					got, gotErr := r.Run(StreamFromProgram(tc.prog, 2), harvester())
 					if errText(gotErr) != errText(wantErr) || got != want {
 						t.Fatalf("%s (stepping=%v): trace %#v err %v, functional %#v err %v",
 							name, stepping, got, gotErr, want, wantErr)
@@ -309,10 +268,11 @@ func TestTraceLayerMatchesFunctionalLayer(t *testing.T) {
 			}
 		}
 	}
-	if agreed == 0 || stopped == 0 || diverged == 0 {
-		t.Errorf("grid exercised %d agreeing, %d non-terminating and %d divergent points; want each at least once",
-			agreed, stopped, diverged)
+	if agreed == 0 || stopped == 0 || late == 0 {
+		t.Errorf("grid exercised %d agreeing and %d non-terminating points, %d with an ACT cut past its register commit; want each at least once",
+			agreed, stopped, late)
 	}
+	t.Logf("%d agreeing, %d non-terminating, %d with an ACT cut past its register commit", agreed, stopped, late)
 }
 
 // TestLevelSwitchCounting: a workload alternating gate and preset

@@ -18,8 +18,7 @@ import (
 // ran out, reboots the controller through its restore protocol, and
 // resumes — an end-to-end demonstration that computation survives
 // arbitrary interruption (Section V). Run is Runner's stepping loop
-// driving the controller, so its accounting is the trace layer's except
-// for the restore-column rule (see the package doc).
+// driving the controller, so its accounting is the trace layer's.
 //
 // Fast/slow path selection: cycles that complete in full step through
 // the machine with no Partial, so logic operations take the packed
@@ -76,7 +75,7 @@ func phaseFor(frac float64) (controller.Phase, *array.Partial) {
 			Columns: int(pulse * float64(isa.Cols)),
 			Pulse:   func(int) float64 { return pulse },
 		}
-	case frac < 0.90:
+	case frac < actRegCommitFrac:
 		return controller.PhaseWriteActReg, nil
 	case frac < 0.95:
 		return controller.PhaseWritePC, nil
@@ -115,9 +114,7 @@ func instrTile(in isa.Instruction) int {
 }
 
 // controllerTarget drives the bit-accurate machine through its
-// controller. A restart re-latches the columns of the ACT held in
-// non-volatile memory, which after an outage late in an ACT's cycle is
-// already the interrupted ACT (see the package doc).
+// controller.
 type controllerTarget struct{ c *controller.Controller }
 
 // peek describes the instruction at the PC as an Op at the machine's
@@ -142,17 +139,19 @@ func (t controllerTarget) interrupt(frac float64) error {
 	return nil
 }
 
-func (t controllerTarget) restoreCols(int) int {
-	act, ok := t.c.NV.Act()
-	if !ok {
-		return 0
-	}
-	return actCols(act, len(t.c.Machine().Tiles))
-}
-
-func (t controllerTarget) restart() error {
+// restart reboots the controller, which re-issues the ACT in its
+// non-volatile register. That ACT must latch the cols columns the loop
+// charged: the machine checks the loop's register rule at every restart.
+func (t controllerTarget) restart(cols int) error {
 	t.c.PowerFail()
-	return t.c.Restart()
+	if err := t.c.Restart(); err != nil {
+		return err
+	}
+	act, _ := t.c.NV.Act()
+	if got := actCols(act, len(t.c.Machine().Tiles)); got != cols {
+		return fmt.Errorf("sim: restart re-latched %d columns, the loop charged %d", got, cols)
+	}
+	return nil
 }
 
 // Run executes the program to completion under harvester h (or under
@@ -208,16 +207,5 @@ func (s *programStream) Next() (energy.Op, bool) {
 // encoding is derived from the same Next() the stepping path would see.
 func (s *programStream) Runs() []energy.OpRun {
 	clone := &programStream{p: s.p, nTiles: s.nTiles}
-	var runs []energy.OpRun
-	for {
-		op, ok := clone.Next()
-		if !ok {
-			return runs
-		}
-		if n := len(runs); n > 0 && runs[n-1].Op == op {
-			runs[n-1].Count++
-			continue
-		}
-		runs = append(runs, energy.OpRun{Op: op, Count: 1})
-	}
+	return encodeRuns(clone.Next)
 }

@@ -307,6 +307,10 @@ func (ls *segLane) stepOutage() bool {
 		ls.acc.DeadLatency += ls.dt * frac
 		ls.acc.OnLatency += ls.dt * frac
 		ls.acc.Restarts++
+		// An ACT cut past its register commit restores its own columns.
+		if ls.isAct && frac >= actRegCommitFrac {
+			ls.cols = ls.actCols
+		}
 
 		// The stepping path's non-termination test at k = 1: the
 		// restore plus this instruction, net of harvest, against the

@@ -24,13 +24,13 @@
 //     ran out, so small end-to-end inferences demonstrably survive real
 //     interruption.
 //
-// The layers differ in one rule: a restart re-latches the columns of
-// the last committed ACT (trace) or of the ACT held in the controller's
-// non-volatile register (functional). An ACT commits that register
-// before its PC, so after an outage at frac >= 0.90 of an ACT the
-// functional layer restores the interrupted ACT's columns and the trace
-// layer the previous ACT's. Everywhere else the layers return equal
-// Results.
+// A restart re-latches the columns of the ACT register, which the loop
+// tracks for both layers: an ACT commits the register before its PC
+// (at actRegCommitFrac of its cycle), so an outage past that point
+// restores the interrupted ACT's columns. The functional layer checks
+// the controller's non-volatile register against the loop's at every
+// restart, so the bit-accurate machine is the rule's oracle and the
+// layers return equal Results.
 //
 // Accounting convention (following the paper's EH-model usage): an
 // instruction's first-attempt commit is Compute (plus Backup) energy;
@@ -98,15 +98,23 @@ func (s *SliceStream) Reset() { s.pos = 0 }
 
 // Runs returns the slice's run-length encoding (RunStream).
 func (s *SliceStream) Runs() []energy.OpRun {
+	return encodeRuns((&SliceStream{Ops: s.Ops}).Next)
+}
+
+// encodeRuns run-length encodes what next yields until it reports the end.
+func encodeRuns(next func() (energy.Op, bool)) []energy.OpRun {
 	var runs []energy.OpRun
-	for _, op := range s.Ops {
+	for {
+		op, ok := next()
+		if !ok {
+			return runs
+		}
 		if n := len(runs); n > 0 && runs[n-1].Op == op {
 			runs[n-1].Count++
 			continue
 		}
 		runs = append(runs, energy.OpRun{Op: op, Count: 1})
 	}
-	return runs
 }
 
 // ErrNonTermination reports that the program can never make forward
@@ -334,9 +342,15 @@ func (p *opPricer) price(op energy.Op) priced {
 	}
 }
 
+// actRegCommitFrac is the fraction of an ACT's cycle by which it has
+// committed the ACT register, before its PC (Section V; phaseFor maps
+// it to the µ-phase after that commit). An outage there restores that
+// ACT's columns.
+const actRegCommitFrac = 0.90
+
 // target is the machine step drives: the trace layer's operation
 // stream (streamTarget) or the functional layer's controller
-// (controllerTarget). Each keeps its own restore-column rule.
+// (controllerTarget).
 type target interface {
 	// peek returns the upcoming instruction's Op and the tile its
 	// events name (-1 for none), or ok=false at program end. A stream
@@ -350,16 +364,13 @@ type target interface {
 	// interrupt cuts the peeked instruction at fraction frac of its
 	// cycle.
 	interrupt(frac float64) error
-	// restoreCols is the column count a restart re-latches, given the
-	// columns of the last committed ACT.
-	restoreCols(committed int) int
-	// restart reboots the machine once the recharge and restore are
-	// paid: its volatile state is lost and the stored ACT re-issued.
-	restart() error
+	// restart reboots the machine once the recharge and restore of
+	// cols columns are paid: its volatile state is lost and the stored
+	// ACT re-issued.
+	restart(cols int) error
 }
 
-// streamTarget drives an OpStream. A restart re-latches the columns of
-// the last committed ACT.
+// streamTarget drives an OpStream.
 type streamTarget struct {
 	s    OpStream
 	op   energy.Op
@@ -382,9 +393,8 @@ func (t *streamTarget) commit() (bool, error) {
 	return false, nil
 }
 
-func (*streamTarget) interrupt(float64) error       { return nil }
-func (*streamTarget) restoreCols(committed int) int { return committed }
-func (*streamTarget) restart() error                { return nil }
+func (*streamTarget) interrupt(float64) error { return nil }
+func (*streamTarget) restart(int) error       { return nil }
 
 // stepStream runs step over a stream. A stream left mid-position by a
 // previous failed run (for example after ErrNonTermination) must not
@@ -422,7 +432,7 @@ func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 	dt := r.Model.CycleTime()
 	pricer := newOpPricer(r.Model)
 	lastLevel := 0
-	activeCols := 0 // columns the last committed ACT latched
+	actReg := 0 // columns the ACT register holds: what a restart re-latches
 	active := probe.Enabled(r.Obs)
 	now := 0.0 // continuous-power clock; h.Now() rules when h != nil
 	// The instructions committed since the last checkpoint; always empty
@@ -448,14 +458,18 @@ func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 		window = h.WindowEnergy()
 	}
 
-	// outage handles a power failure that cut a draw of c joules at
-	// fraction frac: the partial work is Dead. Unless the restore plus
+	// outage handles a power failure that cut op's draw of c joules at
+	// fraction frac: the partial work is Dead, and an ACT cut past its
+	// register commit has latched the register. Unless the restore plus
 	// the region through the pending instruction (pend joules) can never
-	// fit one discharge window, it recharges, restores the target's
-	// columns and restarts it, which closes the accounting window.
-	outage := func(kind isa.Kind, c, frac, pend float64) error {
+	// fit one discharge window, it recharges, restores the register's
+	// columns and restarts the target, which closes the accounting window.
+	outage := func(op energy.Op, c, frac, pend float64) error {
 		if err := t.interrupt(frac); err != nil {
 			return err
+		}
+		if op.Kind == isa.KindAct && frac >= actRegCommitFrac {
+			actReg = op.ActCols
 		}
 		acc.DeadEnergy += c * frac
 		acc.DeadLatency += dt * frac
@@ -463,11 +477,10 @@ func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 		acc.Restarts++
 		if active {
 			r.Obs.PulseInterrupted(probe.Interrupt{
-				T: h.Now(), Frac: frac, Kind: kind, Lost: c * frac,
+				T: h.Now(), Frac: frac, Kind: op.Kind, Lost: c * frac,
 			})
 		}
-		cols := t.restoreCols(activeCols)
-		rc := r.Model.Restore(cols)
+		rc := r.Model.Restore(actReg)
 		hc := h.Src.Power(h.Now()) * dt
 		need := drain(rc, hc) + drain(pend, hc)
 		for _, p := range region {
@@ -487,10 +500,10 @@ func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 		if active {
 			r.Obs.OutageEnd(h.Now(), off)
 		}
-		if err := r.restore(h, rc, cols, dt, &acc); err != nil {
+		if err := r.restore(h, rc, actReg, dt, &acc); err != nil {
 			return err
 		}
-		if err := t.restart(); err != nil {
+		if err := t.restart(actReg); err != nil {
 			return err
 		}
 		flush()
@@ -522,7 +535,7 @@ func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 		}
 		if frac < 1 {
 			retry = true
-			if err := outage(op.Kind, e, frac, e); err != nil {
+			if err := outage(op, e, frac, e); err != nil {
 				return fail(err)
 			}
 			// Roll back to the checkpoint: re-perform the region as Dead
@@ -530,7 +543,7 @@ func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 			for i := 0; i < len(region); {
 				q := region[i]
 				if f := h.Draw(dt, q.e); f < 1 {
-					if err := outage(q.op.Kind, q.e, f, e); err != nil {
+					if err := outage(q.op, q.e, f, e); err != nil {
 						return fail(err)
 					}
 					i = 0
@@ -547,7 +560,7 @@ func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 					})
 				}
 				if q.op.Kind == isa.KindAct {
-					activeCols = q.op.ActCols
+					actReg = q.op.ActCols
 				}
 				i++
 			}
@@ -582,7 +595,7 @@ func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 		}
 		retry = false
 		if op.Kind == isa.KindAct {
-			activeCols = op.ActCols
+			actReg = op.ActCols
 		}
 		if p.level >= 0 && p.level != lastLevel {
 			acc.LevelSwitches++
