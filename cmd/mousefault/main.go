@@ -16,9 +16,8 @@
 //	mousefault [flags]
 //
 //	-layer machine|trace   bit-accurate machine sweep (default) or the
-//	                       analytic trace-layer sweep
-//	-workload NAME         arith, tiny-svm, tiny-bnn (machine layer);
-//	                       the trace layer supports arith
+//	                       analytic trace-layer sweep of the same program
+//	-workload NAME         arith, tiny-svm, tiny-bnn, tiny-fft
 //	-scalar                pin the machine to the scalar logic path
 //	-config modern-stt|projected-stt|she   technology
 //	-fracs F1,F2,...       µ-phase fractions in [0,1) (default: the
@@ -101,37 +100,19 @@ func run(args []string, stdout io.Writer) error {
 		Workers: *parallel,
 	}
 
-	var rep *fault.Report
-	switch *layer {
-	case "machine":
-		w, err := fault.LookupWorkload(cfg, *name)
-		if err != nil {
-			return err
-		}
-		if *scalar {
-			w = w.ForceScalar()
-		}
-		rep, err = fault.Sweep(w, opts)
-		if err != nil {
-			return err
-		}
-	case "trace":
-		if *name != "arith" {
-			return fmt.Errorf("the trace layer supports workload %q only (got %q)", "arith", *name)
-		}
-		if *scalar {
-			return fmt.Errorf("-scalar applies to the machine layer only")
-		}
-		w, err := fault.ArithStream(cfg)
-		if err != nil {
-			return err
-		}
-		rep, err = fault.SweepStream(w, opts)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown layer %q (machine, trace)", *layer)
+	if *scalar && *layer == fault.LayerTrace {
+		return fmt.Errorf("-scalar applies to the machine layer only")
+	}
+	w, err := fault.LookupWorkload(cfg, *name)
+	if err != nil {
+		return err
+	}
+	if *scalar {
+		w = w.ForceScalar()
+	}
+	rep, err := fault.Sweep(w, *layer, opts)
+	if err != nil {
+		return err
 	}
 
 	out := stdout

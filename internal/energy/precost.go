@@ -5,9 +5,7 @@ package energy
 // thousands of operations, but only a few thousand maximal runs of
 // identical operations. Pricing the model once per run instead of once
 // per instruction (let alone the stepping path's several calls per
-// retired instruction) turns the per-op model cost into a table lookup,
-// and the prefix sum gives analytic totals without replaying the
-// stream.
+// retired instruction) turns the per-op model cost into a table lookup.
 
 // OpRun is a maximal run of identical operations — the run-length
 // encoded form of an instruction stream.
@@ -33,13 +31,6 @@ type RunCosts struct {
 
 	// Level is each run's converter level (Model.Level).
 	Level []int
-
-	// Prefix is the analytic cumulative draw: Prefix[i] sums
-	// Count*Total over every run before run i, with Prefix[len(Runs)]
-	// the stream's grand total. It prices budgets in closed form
-	// (estimates, sanity checks) — the simulator's exact per-window
-	// folds never read it.
-	Prefix []float64
 }
 
 // PrecostRuns prices a run-length encoded stream under m. Runs with
@@ -62,58 +53,11 @@ func PrecostRuns(m *Model, runs []OpRun) *RunCosts {
 	c.Backup = make([]float64, n)
 	c.Total = make([]float64, n)
 	c.Level = make([]int, n)
-	c.Prefix = make([]float64, n+1)
 	for i, r := range c.Runs {
 		c.Compute[i] = m.Energy(r.Op)
 		c.Backup[i] = m.Backup(r.Op)
 		c.Total[i] = c.Compute[i] + c.Backup[i]
 		c.Level[i] = m.Level(r.Op)
-		c.Prefix[i+1] = c.Prefix[i] + float64(r.Count)*c.Total[i]
 	}
 	return c
-}
-
-// Ops returns the stream's total operation count.
-func (c *RunCosts) Ops() int64 {
-	var n int64
-	for _, r := range c.Runs {
-		n += r.Count
-	}
-	return n
-}
-
-// TotalDraw returns the analytic grand-total draw of the stream — what
-// a run with no outages pays in Compute plus Backup energy, up to float
-// association.
-func (c *RunCosts) TotalDraw() float64 { return c.Prefix[len(c.Runs)] }
-
-// MaxOpTotal returns the largest single-operation draw and the index of
-// the run it occurs in (-1 for an empty stream) — the quantity the
-// non-termination guard compares against the window budget.
-func (c *RunCosts) MaxOpTotal() (float64, int) {
-	maxE, at := 0.0, -1
-	for i, e := range c.Total {
-		if e > maxE {
-			maxE, at = e, i
-		}
-	}
-	return maxE, at
-}
-
-// EstimateWindows returns the analytic number of outage windows a
-// constant-power run needs: the net buffer drain (draw minus harvest
-// accrued per cycle) divided by one window's discharge budget. It is an
-// estimate for sizing and reporting — the simulator counts real
-// restarts — and zero when the harvest keeps up or the stream is empty.
-func (c *RunCosts) EstimateWindows(windowJ, harvestPerOp float64) float64 {
-	if windowJ <= 0 {
-		return 0
-	}
-	drain := 0.0
-	for i, r := range c.Runs {
-		if net := c.Total[i] - harvestPerOp; net > 0 {
-			drain += float64(r.Count) * net
-		}
-	}
-	return drain / windowJ
 }

@@ -25,9 +25,6 @@ func TestPrecostRunsCompacts(t *testing.T) {
 	if c.Runs[0].Count != 5 || c.Runs[1].Count != 4 || c.Runs[2].Count != 1 {
 		t.Fatalf("counts = %d,%d,%d, want 5,4,1", c.Runs[0].Count, c.Runs[1].Count, c.Runs[2].Count)
 	}
-	if c.Ops() != 10 {
-		t.Fatalf("Ops() = %d, want 10", c.Ops())
-	}
 }
 
 // Per-run prices must be the Model's own outputs, with Total assembled
@@ -46,7 +43,6 @@ func TestPrecostPricesAreModelOutputs(t *testing.T) {
 		runs = append(runs, OpRun{Op: op, Count: 7})
 	}
 	c := PrecostRuns(m, runs)
-	var prefix float64
 	for i, op := range ops {
 		if c.Compute[i] != m.Energy(op) || c.Backup[i] != m.Backup(op) {
 			t.Fatalf("run %d: prices diverge from model", i)
@@ -57,31 +53,12 @@ func TestPrecostPricesAreModelOutputs(t *testing.T) {
 		if c.Level[i] != m.Level(op) {
 			t.Fatalf("run %d: Level diverges from model", i)
 		}
-		prefix += 7 * c.Total[i]
-		if c.Prefix[i+1] != prefix {
-			t.Fatalf("run %d: prefix %g, want %g", i, c.Prefix[i+1], prefix)
-		}
-	}
-	if c.TotalDraw() != c.Prefix[len(c.Runs)] {
-		t.Fatal("TotalDraw != final prefix")
-	}
-	maxE, at := c.MaxOpTotal()
-	for i := range c.Total {
-		if c.Total[i] > maxE {
-			t.Fatalf("MaxOpTotal missed run %d (%g > %g at %d)", i, c.Total[i], maxE, at)
-		}
 	}
 }
 
 func TestPrecostEmpty(t *testing.T) {
 	c := PrecostRuns(NewModel(mtj.ModernSTT()), nil)
-	if len(c.Runs) != 0 || c.Ops() != 0 || c.TotalDraw() != 0 {
+	if len(c.Runs) != 0 || len(c.Compute) != 0 || len(c.Backup) != 0 || len(c.Total) != 0 || len(c.Level) != 0 {
 		t.Fatalf("empty precost not empty: %+v", c)
-	}
-	if _, at := c.MaxOpTotal(); at != -1 {
-		t.Fatalf("MaxOpTotal on empty stream returned index %d, want -1", at)
-	}
-	if w := c.EstimateWindows(1e-6, 0); w != 0 {
-		t.Fatalf("EstimateWindows on empty stream = %g, want 0", w)
 	}
 }

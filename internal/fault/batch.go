@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mouse/internal/array"
-	"mouse/internal/controller"
 	"mouse/internal/mtj"
 	"mouse/internal/sim"
 	"mouse/internal/svm"
@@ -35,21 +34,18 @@ type BatchWorkload struct {
 	Sim sim.BatchWorkload
 }
 
-// Lane builds the scalar per-lane workload: a fresh controller over a
+// Lane is the scalar per-lane workload: the shared program over a
 // fresh machine seeded with that lane's inputs — exactly what the
 // batched engine's fallback runs for the lane under an outage.
 func (w BatchWorkload) Lane(lane int) Workload {
 	return Workload{
 		Name: fmt.Sprintf("%s[lane %d]", w.Name, lane),
-		New: func() (*controller.Controller, error) {
-			m := array.NewMachine(w.Cfg, w.Sim.Tiles, w.Sim.Rows, w.Sim.Cols)
-			err := w.Sim.Load(lane, func(tile, row, col, bit int) {
+		Cfg:  w.Cfg, Prog: w.Sim.Prog,
+		Tiles: w.Sim.Tiles, Rows: w.Sim.Rows, Cols: w.Sim.Cols,
+		Load: func(m *array.Machine) error {
+			return w.Sim.Load(lane, func(tile, row, col, bit int) {
 				m.Tiles[tile].SetBit(row, col, bit)
 			})
-			if err != nil {
-				return nil, err
-			}
-			return controller.New(controller.ProgramStore(w.Sim.Prog), m), nil
 		},
 	}
 }
@@ -111,7 +107,7 @@ func SweepBatch(w BatchWorkload, opts Options) (*BatchReport, error) {
 
 	goldens := make([]*Golden, w.Lanes)
 	for lane := range goldens {
-		g, err := RunGolden(w.Lane(lane))
+		g, err := RunGolden(w.Lane(lane), LayerMachine)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +140,7 @@ func SweepBatch(w BatchWorkload, opts Options) (*BatchReport, error) {
 	}
 
 	for lane := 0; lane < w.Lanes; lane++ {
-		lr, err := Sweep(w.Lane(lane), opts)
+		lr, err := Sweep(w.Lane(lane), LayerMachine, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -58,7 +58,7 @@ func TestTinySVMBatchLanesDiffer(t *testing.T) {
 	}
 	var snaps []*snapshot
 	for lane := 0; lane < w.Lanes; lane++ {
-		g, err := RunGolden(w.Lane(lane))
+		g, err := RunGolden(w.Lane(lane), LayerMachine)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,15 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"mouse/internal/bnn"
-	"mouse/internal/energy"
-	"mouse/internal/fft"
-	"mouse/internal/isa"
 	"mouse/internal/lint"
-	"mouse/internal/mtj"
 	"mouse/internal/power"
 	"mouse/internal/sim"
-	"mouse/internal/svm"
 )
 
 // Cross-validation closes the loop between mousevet's static analysis
@@ -24,64 +18,7 @@ import (
 // comparison over every built-in workload (the differential gate of
 // the mousevet v2 issue).
 
-// Subject pairs a machine workload's dynamic form (a fresh controller
-// per injected run) with the static-analysis view of the same program:
-// the instruction stream and the geometry it deploys onto.
-type Subject struct {
-	Workload Workload
-	Prog     isa.Program
-
-	// Tiles/Rows/Cols is the deployed geometry, matching the machine the
-	// workload builds.
-	Tiles, Rows, Cols int
-}
-
-// Subjects returns every built-in machine workload in cross-validation
-// form, compiled under cfg. The programs are the exact streams the
-// workloads execute — same compiles, same parameters.
-func Subjects(cfg *mtj.Config) ([]Subject, error) {
-	var subjects []Subject
-
-	prog, _, _, err := compiledArith(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fault: compiling arith: %w", err)
-	}
-	subjects = append(subjects, Subject{
-		Workload: Arith(cfg), Prog: prog,
-		Tiles: 1, Rows: arithRows, Cols: arithCols,
-	})
-
-	smp, err := svm.CompileMapping(tinySVMModel(), svmRows, 1)
-	if err != nil {
-		return nil, fmt.Errorf("fault: compiling tiny-svm: %w", err)
-	}
-	subjects = append(subjects, Subject{
-		Workload: TinySVM(cfg), Prog: smp.Prog,
-		Tiles: 1, Rows: svmRows, Cols: arithCols,
-	})
-
-	bmp, err := bnn.CompileMapping(tinyBNNNetwork(), bnnRows, bnnCols)
-	if err != nil {
-		return nil, fmt.Errorf("fault: compiling tiny-bnn: %w", err)
-	}
-	subjects = append(subjects, Subject{
-		Workload: TinyBNN(cfg), Prog: bmp.Prog,
-		Tiles: 1, Rows: bnnRows, Cols: arithCols,
-	})
-
-	fmp, err := fft.Compile(tinyFFTParams(), fftRows, fftCols)
-	if err != nil {
-		return nil, fmt.Errorf("fault: compiling tiny-fft: %w", err)
-	}
-	subjects = append(subjects, Subject{
-		Workload: TinyFFT(cfg), Prog: fmp.Prog,
-		Tiles: 1, Rows: fftRows, Cols: arithCols,
-	})
-
-	return subjects, nil
-}
-
-// CrossResult holds one subject's verdicts from both sides of the
+// CrossResult holds one workload's verdicts from both sides of the
 // differential: the static analysis (lint report, WCE certificate) and
 // the dynamic evidence (crash sweep, simulated run on the capacitor).
 type CrossResult struct {
@@ -129,25 +66,24 @@ type IntervalVerdict struct {
 // ops out of incoming power and mask an undersized buffer.)
 const chargeWatts = 1e-7
 
-// CrossValidate runs both engines over one subject under cfg and
-// returns the paired verdicts. Sweep options bound the dynamic side's
-// injection schedule; the static side is always exhaustive.
-func CrossValidate(s Subject, cfg *mtj.Config, opts Options) (*CrossResult, error) {
+// CrossValidate runs both engines over one workload under its
+// configuration and returns the paired verdicts. Sweep options bound
+// the dynamic side's injection schedule; the static side is always
+// exhaustive.
+func CrossValidate(w Workload, opts Options) (*CrossResult, error) {
+	cfg := w.Cfg
 	lopts := lint.Options{
-		Geometry:           lint.Geometry{Tiles: s.Tiles, Rows: s.Rows, Cols: s.Cols},
+		Geometry:           lint.Geometry{Tiles: w.Tiles, Rows: w.Rows, Cols: w.Cols},
 		Config:             cfg,
 		CheckpointInterval: 1,
 	}
-	r := &CrossResult{Name: s.Workload.Name, Static: lint.Lint(s.Prog, lopts)}
+	r := &CrossResult{Name: w.Name, Static: lint.Lint(w.Prog, lopts)}
 
-	cert, err := lint.Certify(s.Prog, lopts)
+	cert, err := lint.Certify(w.Prog, lopts)
 	if err != nil {
-		return nil, fmt.Errorf("fault: certifying %s: %w", s.Workload.Name, err)
+		return nil, fmt.Errorf("fault: certifying %s: %w", w.Name, err)
 	}
 	r.Cert = cert
-
-	model := energy.NewModel(cfg)
-	model.RowBits = s.Cols
 
 	// The intermittent run: same program, same capacitor, a steady
 	// source. Completion here is the dynamic analogue of the WCE
@@ -155,17 +91,17 @@ func CrossValidate(s Subject, cfg *mtj.Config, opts Options) (*CrossResult, erro
 	// stream eligible for the analytic segment engine, so this run also
 	// exercises the fast path...
 	h := power.NewHarvester(power.Constant{W: chargeWatts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-	runner := sim.NewRunner(model)
-	res, runErr := runner.Run(sim.StreamFromProgram(s.Prog, s.Tiles), h)
+	runner := sim.NewRunner(w.model())
+	res, runErr := runner.Run(sim.StreamFromProgram(w.Prog, w.Tiles), h)
 	r.SimCompleted = runErr == nil && res.Completed
 	r.SimErr = runErr
 
 	// ...and the stepping engine must agree with it bit for bit on the
 	// very same stream (the simulator-internal differential).
 	hStep := power.NewHarvester(power.Constant{W: chargeWatts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-	stepper := sim.NewRunner(model)
+	stepper := sim.NewRunner(w.model())
 	stepper.ForceStepping = true
-	stepRes, stepErr := stepper.Run(sim.StreamFromProgram(s.Prog, s.Tiles), hStep)
+	stepRes, stepErr := stepper.Run(sim.StreamFromProgram(w.Prog, w.Tiles), hStep)
 	switch {
 	case (runErr == nil) != (stepErr == nil),
 		runErr != nil && stepErr != nil && runErr.Error() != stepErr.Error():
@@ -174,31 +110,32 @@ func CrossValidate(s Subject, cfg *mtj.Config, opts Options) (*CrossResult, erro
 		r.SegmentMismatch = fmt.Sprintf("segment %+v vs stepping %+v", res, stepRes)
 	}
 
-	if r.Intervals, err = intervalVerdicts(s, cfg, lopts, runner); err != nil {
+	if r.Intervals, err = intervalVerdicts(w, lopts, runner); err != nil {
 		return nil, err
 	}
 
-	swp, err := Sweep(s.Workload, opts)
+	swp, err := Sweep(w, LayerMachine, opts)
 	if err != nil {
-		return nil, fmt.Errorf("fault: sweeping %s: %w", s.Workload.Name, err)
+		return nil, fmt.Errorf("fault: sweeping %s: %w", w.Name, err)
 	}
 	r.Sweep = swp
 	return r, nil
 }
 
-// intervalVerdicts certifies and runs the subject on cfg's capacitor
-// and the steady source at the hardware's per-instruction checkpoint,
-// two thinned intervals, and a single region spanning the program.
-func intervalVerdicts(s Subject, cfg *mtj.Config, lopts lint.Options, runner *sim.Runner) ([]IntervalVerdict, error) {
+// intervalVerdicts certifies and runs the workload on its capacitor and
+// the steady source at the hardware's per-instruction checkpoint, two
+// thinned intervals, and a single region spanning the program.
+func intervalVerdicts(w Workload, lopts lint.Options, runner *sim.Runner) ([]IntervalVerdict, error) {
+	cfg := w.Cfg
 	var vs []IntervalVerdict
-	for _, k := range []int{1, 8, 64, len(s.Prog) + 1} {
+	for _, k := range []int{1, 8, 64, len(w.Prog) + 1} {
 		lopts.CheckpointInterval = k
-		cert, err := lint.Certify(s.Prog, lopts)
+		cert, err := lint.Certify(w.Prog, lopts)
 		if err != nil {
-			return nil, fmt.Errorf("fault: certifying %s at interval %d: %w", s.Workload.Name, k, err)
+			return nil, fmt.Errorf("fault: certifying %s at interval %d: %w", w.Name, k, err)
 		}
 		h := power.NewHarvester(power.Constant{W: chargeWatts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-		res, err := runner.RunWithCheckpointInterval(sim.StreamFromProgram(s.Prog, s.Tiles), h, k)
+		res, err := runner.RunWithCheckpointInterval(sim.StreamFromProgram(w.Prog, w.Tiles), h, k)
 		vs = append(vs, IntervalVerdict{
 			Interval: k, Feasible: cert.Feasible, Completed: err == nil && res.Completed, Err: err,
 		})
@@ -249,19 +186,13 @@ func (r *CrossResult) Disagreement() string {
 	return ""
 }
 
-// CheckAgreement cross-validates every built-in workload under cfg and
-// returns an error describing the first static/dynamic disagreement.
-// This is the function the CI differential gate calls (through its
-// test wrapper): a refuted certificate or an unproven hazard fails the
-// build.
-func CheckAgreement(cfg *mtj.Config, opts Options) error {
-	subjects, err := Subjects(cfg)
-	if err != nil {
-		return err
-	}
+// CheckAgreement cross-validates every workload and returns an error
+// describing the first static/dynamic disagreement: a refuted
+// certificate or an unproven hazard.
+func CheckAgreement(ws []Workload, opts Options) error {
 	var failures []string
-	for _, s := range subjects {
-		r, err := CrossValidate(s, cfg, opts)
+	for _, w := range ws {
+		r, err := CrossValidate(w, opts)
 		if err != nil {
 			return err
 		}

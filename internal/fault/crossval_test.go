@@ -26,22 +26,18 @@ func TestStaticDynamicAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive differential sweep")
 	}
-	cfg := mtj.ModernSTT()
-	subjects, err := Subjects(cfg)
+	ws, err := Workloads(mtj.ModernSTT())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(subjects) != len(Workloads(cfg)) {
-		t.Fatalf("cross-validating %d subjects but %d workloads are registered", len(subjects), len(Workloads(cfg)))
 	}
 	// Every instruction boundary; the fraction triple covers the fetch,
 	// execute, and commit µ-phase bands (the full grid runs in
 	// TestArithExhaustive).
 	opts := Options{Fracs: []float64{0, 0.5, 0.97}}
-	for _, s := range subjects {
-		t.Run(s.Workload.Name, func(t *testing.T) {
+	for _, w := range ws {
+		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			r, err := CrossValidate(s, cfg, opts)
+			r, err := CrossValidate(w, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,10 +70,7 @@ func TestStaticDynamicAgreement(t *testing.T) {
 func TestInfeasibleCapacitorAgreement(t *testing.T) {
 	tiny := *mtj.ModernSTT()
 	tiny.CapC = 1e-12
-	prog, _, _, err := compiledArith(mtj.ModernSTT())
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := build(t, Arith).Prog
 	lopts := lint.Options{
 		Geometry:           lint.Geometry{Tiles: 1, Rows: arithRows, Cols: arithCols},
 		Config:             &tiny,
@@ -128,10 +121,7 @@ func twoActProgram() (isa.Program, error) {
 // restore (the last executed ACT's columns) covers the loop's ACT
 // register when a region spans the widening ACT.
 func TestIntervalAgreementOnSmallBuffer(t *testing.T) {
-	arith, _, _, err := compiledArith(mtj.ModernSTT())
-	if err != nil {
-		t.Fatal(err)
-	}
+	arith := build(t, Arith).Prog
 	twoAct, err := twoActProgram()
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +132,6 @@ func TestIntervalAgreementOnSmallBuffer(t *testing.T) {
 	}{{"arith", arith}, {"two ACTs, wider second", twoAct}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := *mtj.ModernSTT()
-			subject := Subject{Workload: Workload{Name: tc.name}, Prog: tc.prog, Tiles: 1, Rows: arithRows, Cols: arithCols}
 			lopts := lint.Options{
 				Geometry: lint.Geometry{Tiles: 1, Rows: arithRows, Cols: arithCols},
 				Config:   &cfg,
@@ -158,15 +147,14 @@ func TestIntervalAgreementOnSmallBuffer(t *testing.T) {
 			windowJ := math.Sqrt(worst(1) * worst(len(tc.prog)+1))
 			cfg.CapC = 2 * windowJ / (cfg.CapVMax*cfg.CapVMax - cfg.CapVMin*cfg.CapVMin)
 
-			model := energy.NewModel(&cfg)
-			model.RowBits = arithCols
-			runner := sim.NewRunner(model)
+			w := Workload{Name: tc.name, Cfg: &cfg, Prog: tc.prog, Tiles: 1, Rows: arithRows, Cols: arithCols}
+			runner := sim.NewRunner(w.model())
 			var vs []IntervalVerdict
 			var runErr error
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				vs, runErr = intervalVerdicts(subject, &cfg, lopts, runner)
+				vs, runErr = intervalVerdicts(w, lopts, runner)
 			}()
 			select {
 			case <-done:

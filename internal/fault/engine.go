@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"mouse/internal/bench"
-	"mouse/internal/isa"
 	"mouse/internal/probe"
-	"mouse/internal/sim"
 )
 
 // Options configures a sweep's injection-point enumeration.
@@ -81,30 +79,25 @@ func checkPoint(p Point, g *Golden) error {
 	return nil
 }
 
-// Inject runs one scheduled crash of the machine workload against the
-// golden reference and returns its verdict. It is the unit the sweep
+// Inject runs one scheduled crash of the workload, on the golden
+// reference's layer, and returns its verdict. It is the unit the sweep
 // parallelizes — and the entry point for the fuzz harness, which feeds
 // it arbitrary points.
 func Inject(w Workload, g *Golden, p Point, obs probe.Observer) (Verdict, error) {
 	if err := checkPoint(p, g); err != nil {
 		return Verdict{}, err
 	}
-	c, err := w.New()
-	if err != nil {
-		return Verdict{}, fmt.Errorf("fault: building %s: %w", w.Name, err)
-	}
 	windowJ := g.windowFor(p)
 	inj := NewInjector(windowJ, g.recoverW)
-	r := sim.NewMachineRunner(c)
-	r.Obs = inj
+	var o probe.Observer = inj
 	if probe.Enabled(obs) {
-		r.Obs = probe.Multi{inj, obs}
+		o = probe.Multi{inj, obs}
 		probe.EmitFault(obs, probe.Fault{Index: p.Index, Frac: p.Frac, WindowJ: windowJ})
 	}
-	res, runErr := r.Run(inj.Harvester())
+	res, snap, runErr := w.run(g.layer, inj.Harvester(), o)
 	v := verdictFor(p, windowJ, res, runErr, g)
-	if v.Mismatch == "" {
-		if d := g.snap.diff(capture(c)); d != "" {
+	if v.Mismatch == "" && g.snap != nil {
+		if d := g.snap.diff(snap); d != "" {
 			v.Mismatch = d
 			v.Equivalent = false
 		}
@@ -112,10 +105,11 @@ func Inject(w Workload, g *Golden, p Point, obs probe.Observer) (Verdict, error)
 	return v, nil
 }
 
-// Sweep crashes the machine workload at every scheduled injection point
-// and differentially checks each crashed run against one golden run.
-func Sweep(w Workload, opts Options) (*Report, error) {
-	g, err := RunGolden(w)
+// Sweep crashes the workload on the layer at every scheduled injection
+// point and differentially checks each crashed run against one golden
+// run.
+func Sweep(w Workload, layer string, opts Options) (*Report, error) {
+	g, err := RunGolden(w, layer)
 	if err != nil {
 		return nil, err
 	}
@@ -127,80 +121,7 @@ func Sweep(w Workload, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := buildReport(w.Name, LayerMachine, g.Result.Instructions, verdicts, opts)
-	rep.WallSeconds = time.Since(start).Seconds()
-	return rep, nil
-}
-
-// InjectStream is Inject for the trace layer: the run is an analytic
-// OpStream, so equivalence is the protocol contract (one outage, at
-// most one replay, identical committed work, bounded dead energy)
-// rather than cell-state comparison.
-func InjectStream(w StreamWorkload, g *Golden, p Point, obs probe.Observer) (Verdict, error) {
-	if err := checkPoint(p, g); err != nil {
-		return Verdict{}, err
-	}
-	windowJ := g.windowFor(p)
-	inj := NewInjector(windowJ, g.recoverW)
-	r := sim.NewRunner(w.Model)
-	r.Obs = inj
-	if probe.Enabled(obs) {
-		r.Obs = probe.Multi{inj, obs}
-		probe.EmitFault(obs, probe.Fault{Index: p.Index, Frac: p.Frac, WindowJ: windowJ})
-	}
-	res, runErr := r.Run(w.New(), inj.Harvester())
-	return verdictFor(p, windowJ, res, runErr, g), nil
-}
-
-// GoldenStream prices the stream instruction by instruction and runs the
-// continuous-power reference.
-func GoldenStream(w StreamWorkload) (*Golden, error) {
-	s := w.New()
-	s.Reset()
-	var energies []float64
-	maxAct := 0
-	for {
-		op, ok := s.Next()
-		if !ok {
-			break
-		}
-		energies = append(energies, w.Model.Energy(op)+w.Model.Backup(op))
-		if op.Kind == isa.KindAct && op.ActCols > maxAct {
-			maxAct = op.ActCols
-		}
-	}
-	if len(energies) == 0 {
-		return nil, fmt.Errorf("fault: %s has an empty stream", w.Name)
-	}
-	r := sim.NewRunner(w.Model)
-	res := r.RunContinuous(w.New())
-	g := &Golden{Result: res, Energies: energies}
-	g.prefix = prefixSums(energies)
-	g.maxE = maxFloat(energies)
-	peak := g.maxE
-	if re := w.Model.Restore(maxAct); re > peak {
-		peak = re
-	}
-	g.recoverW = recoverHeadroom * peak / w.Model.CycleTime()
-	return g, nil
-}
-
-// SweepStream crashes the trace-layer workload at every scheduled
-// injection point.
-func SweepStream(w StreamWorkload, opts Options) (*Report, error) {
-	g, err := GoldenStream(w)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	pts := enumerate(len(g.Energies), opts)
-	verdicts, err := bench.Jobs(opts.Workers, len(pts), func(i int) (Verdict, error) {
-		return InjectStream(w, g, pts[i], opts.Obs)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := buildReport(w.Name, LayerTrace, g.Result.Instructions, verdicts, opts)
+	rep := buildReport(w.Name, layer, g.Result.Instructions, verdicts, opts)
 	rep.WallSeconds = time.Since(start).Seconds()
 	return rep, nil
 }

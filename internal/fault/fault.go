@@ -12,12 +12,14 @@
 // committed-instruction counts, exactly one outage, and at most one
 // replayed instruction per outage.
 //
-// Two layers are covered, mirroring package sim:
+// A Workload is a program compiled once, with its geometry and input
+// loader. One sweep engine (RunGolden, Inject, Sweep) runs it on either
+// layer of package sim:
 //
-//   - The bit-accurate machine layer (Sweep): a real controller over an
+//   - The bit-accurate machine layer: a real controller over an
 //     array.Machine, outages injected at the exact µ-phase where the
 //     energy ran out. State equivalence is checked cell by cell.
-//   - The trace layer (SweepStream): an analytic OpStream run, where
+//   - The trace layer: the same program as an analytic OpStream, where
 //     equivalence means identical committed work and bounded dead energy.
 //
 // The adversarial supply is Injector: a power.Source pre-charged with
@@ -34,43 +36,73 @@ import (
 	"mouse/internal/controller"
 	"mouse/internal/energy"
 	"mouse/internal/isa"
+	"mouse/internal/mtj"
+	"mouse/internal/power"
 	"mouse/internal/probe"
 	"mouse/internal/sim"
 )
 
-// Workload is a bit-accurate machine workload: New builds a fresh
-// controller (machine + program + preloaded inputs) for one run. Every
-// injection point re-runs a fresh instance, so New must be deterministic
-// and safe to call from concurrent sweep workers.
+// Workload is one compiled program with the machine it deploys onto:
+// the geometry and the per-run input loader. It is plain data, built
+// once by its constructor; every injected run reads the same program,
+// so Load must be deterministic and safe to call from concurrent sweep
+// workers.
 type Workload struct {
 	Name string
-	New  func() (*controller.Controller, error)
+	Cfg  *mtj.Config
+	Prog isa.Program
+
+	// Tiles/Rows/Cols is the deployed geometry.
+	Tiles, Rows, Cols int
+
+	// Load seeds a fresh machine with the workload's inputs. The trace
+	// layer prices the program alone and never calls it.
+	Load func(*array.Machine) error
 }
 
 // ForceScalar returns a variant of the workload whose machine is pinned
 // to the scalar resistor-network logic path, so sweeps cover both
 // execution engines.
 func (w Workload) ForceScalar() Workload {
-	inner := w.New
-	return Workload{
-		Name: w.Name + " (scalar)",
-		New: func() (*controller.Controller, error) {
-			c, err := inner()
-			if err != nil {
-				return nil, err
-			}
-			c.Machine().ForceScalar = true
-			return c, nil
-		},
+	load := w.Load
+	w.Name += " (scalar)"
+	w.Load = func(m *array.Machine) error {
+		m.ForceScalar = true
+		return load(m)
 	}
+	return w
 }
 
-// StreamWorkload is a trace-layer workload: an operation stream priced
-// by a model. New returns a fresh stream per run.
-type StreamWorkload struct {
-	Name  string
-	Model *energy.Model
-	New   func() sim.OpStream
+// model is the energy model both layers price the workload with: row
+// transfers at the machine's actual row width.
+func (w Workload) model() *energy.Model {
+	m := energy.NewModel(w.Cfg)
+	m.RowBits = w.Cols
+	return m
+}
+
+// run executes one fresh run of the workload on the layer under h (nil
+// is continuous power), reporting events to obs. This is the only place
+// the two layers differ: the machine layer steps a controller over a
+// freshly loaded array.Machine and also returns its final state; the
+// trace layer prices the program as an operation stream and returns no
+// state.
+func (w Workload) run(layer string, h *power.Harvester, obs probe.Observer) (sim.Result, *snapshot, error) {
+	if layer == LayerTrace {
+		r := sim.NewRunner(w.model())
+		r.Obs = obs
+		res, err := r.Run(sim.StreamFromProgram(w.Prog, w.Tiles), h)
+		return res, nil, err
+	}
+	m := array.NewMachine(w.Cfg, w.Tiles, w.Rows, w.Cols)
+	if err := w.Load(m); err != nil {
+		return sim.Result{}, nil, fmt.Errorf("loading inputs: %w", err)
+	}
+	c := controller.New(controller.ProgramStore(w.Prog), m)
+	r := sim.NewMachineRunner(c)
+	r.Obs = obs
+	res, err := r.Run(h)
+	return res, capture(c), err
 }
 
 // Point is one scheduled injection: crash at the given µ-phase fraction
@@ -101,18 +133,20 @@ type Verdict struct {
 	OffSeconds float64 `json:"off_seconds"`
 }
 
-// Golden is the continuous-power reference a sweep injects against: the
-// final machine state, the run accounting, and the per-instruction
-// energy schedule that turns instruction indices into energy windows.
+// Golden is the continuous-power reference a sweep injects against on
+// one layer: the run accounting, the per-instruction energy schedule
+// that turns instruction indices into energy windows, and on the
+// machine layer the final machine state.
 type Golden struct {
 	Result sim.Result
 	// Energies[i] is instruction i's compute+backup draw in joules; the
 	// injector window for point (k, f) is sum(Energies[:k]) + f*Energies[k].
 	Energies []float64
 
+	layer    string
 	prefix   []float64 // prefix[i] = sum(Energies[:i])
 	maxE     float64   // costliest single instruction, joules
-	snap     *snapshot
+	snap     *snapshot // nil on the trace layer
 	recoverW float64
 }
 
@@ -141,34 +175,32 @@ func (rec *energyRecorder) InstrRetired(ev probe.Instr) {
 // second outage even for the restore phase.
 const recoverHeadroom = 8
 
-// RunGolden executes the workload once under continuous power and
-// captures the reference for a sweep.
-func RunGolden(w Workload) (*Golden, error) {
-	c, err := w.New()
-	if err != nil {
-		return nil, fmt.Errorf("fault: building %s: %w", w.Name, err)
+// RunGolden executes the workload once on the layer (LayerMachine or
+// LayerTrace) under continuous power and captures the reference for a
+// sweep.
+func RunGolden(w Workload, layer string) (*Golden, error) {
+	if layer != LayerMachine && layer != LayerTrace {
+		return nil, fmt.Errorf("fault: unknown layer %q (%s, %s)", layer, LayerMachine, LayerTrace)
 	}
-	r := sim.NewMachineRunner(c)
 	rec := &energyRecorder{}
-	r.Obs = rec
-	res, err := r.Run(nil)
+	res, snap, err := w.run(layer, nil, rec)
 	if err != nil {
 		return nil, fmt.Errorf("fault: golden run of %s: %w", w.Name, err)
 	}
 	if len(rec.energies) == 0 {
 		return nil, fmt.Errorf("fault: %s executed no instructions", w.Name)
 	}
-	g := &Golden{Result: res, Energies: rec.energies, snap: capture(c)}
+	g := &Golden{Result: res, Energies: rec.energies, layer: layer, snap: snap}
 	g.prefix = prefixSums(rec.energies)
 	g.maxE = maxFloat(rec.energies)
 	// Recovery must out-pay the hungriest cycle and the widest possible
 	// restore (every column of every tile re-latched).
-	dt := r.Model.CycleTime()
+	model := w.model()
 	peak := g.maxE
-	if re := r.Model.Restore(isa.Cols * len(c.Machine().Tiles)); re > peak {
+	if re := model.Restore(isa.Cols * w.Tiles); re > peak {
 		peak = re
 	}
-	g.recoverW = recoverHeadroom * peak / dt
+	g.recoverW = recoverHeadroom * peak / model.CycleTime()
 	return g, nil
 }
 

@@ -2,17 +2,13 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 
 	"mouse/internal/array"
 	"mouse/internal/bnn"
 	"mouse/internal/compile"
-	"mouse/internal/controller"
-	"mouse/internal/energy"
 	"mouse/internal/fft"
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
-	"mouse/internal/sim"
 	"mouse/internal/svm"
 )
 
@@ -32,14 +28,14 @@ const (
 	arithCols = 8
 )
 
-// compiledArith builds the reference program: an 8×8 multiply whose
-// product feeds a second multiply, plus a row transfer through the
-// memory buffer, so the stream covers ACT, preset, logic, read, and
-// write kinds. Returns the input words for seeding. The deployment
-// context (geometry plus capacitor) rides into the builder's lint
-// self-check, so the compile itself proves the program fits the energy
-// buffer it will be swept under.
-func compiledArith(cfg *mtj.Config) (isa.Program, compile.Word, compile.Word, error) {
+// Arith is the ≥200-instruction multiplier-chain workload: an 8×8
+// multiply whose product feeds a second multiply, plus a row transfer
+// through the memory buffer, so the stream covers ACT, preset, logic,
+// read, and write kinds. The deployment context (geometry plus
+// capacitor) rides into the builder's lint self-check, so the compile
+// itself proves the program fits the energy buffer it will be swept
+// under.
+func Arith(cfg *mtj.Config) (Workload, error) {
 	b := compile.NewBuilder(arithRows)
 	b.SetCheckContext(compile.CheckContext{Cfg: cfg, Tiles: 1, Rows: arithRows, Cols: arithCols})
 	cols := make([]uint16, arithCols)
@@ -55,19 +51,13 @@ func compiledArith(cfg *mtj.Config) (isa.Program, compile.Word, compile.Word, er
 	b.Emit(isa.Read(0, q[0].Row))
 	b.Emit(isa.Write(0, q[1].Row))
 	prog, err := b.Program()
-	return prog, x, y, err
-}
-
-// Arith is the ≥200-instruction multiplier-chain workload.
-func Arith(cfg *mtj.Config) Workload {
+	if err != nil {
+		return Workload{}, fmt.Errorf("fault: compiling arith: %w", err)
+	}
 	return Workload{
-		Name: "arith",
-		New: func() (*controller.Controller, error) {
-			prog, x, y, err := compiledArith(cfg)
-			if err != nil {
-				return nil, err
-			}
-			m := array.NewMachine(cfg, 1, arithRows, arithCols)
+		Name: "arith", Cfg: cfg, Prog: prog,
+		Tiles: 1, Rows: arithRows, Cols: arithCols,
+		Load: func(m *array.Machine) error {
 			for c := 0; c < arithCols; c++ {
 				for i, w := range x {
 					m.Tiles[0].SetBit(w.Row, c, (c*5+3)>>i&1)
@@ -76,9 +66,9 @@ func Arith(cfg *mtj.Config) Workload {
 					m.Tiles[0].SetBit(w.Row, c, (c*7+11)>>i&1)
 				}
 			}
-			return controller.New(controller.ProgramStore(prog), m), nil
+			return nil
 		},
-	}
+	}, nil
 }
 
 // tinySVMModel hand-constructs a two-class, two-feature quantized SVM.
@@ -101,16 +91,15 @@ const svmRows = 96
 
 // TinySVM compiles the hand-built SVM through the production
 // application mapping and loads a fixed binarized input.
-func TinySVM(cfg *mtj.Config) Workload {
+func TinySVM(cfg *mtj.Config) (Workload, error) {
+	mp, err := svm.CompileMapping(tinySVMModel(), svmRows, 1)
+	if err != nil {
+		return Workload{}, fmt.Errorf("fault: compiling tiny-svm: %w", err)
+	}
 	return Workload{
-		Name: "tiny-svm",
-		New: func() (*controller.Controller, error) {
-			im := tinySVMModel()
-			mp, err := svm.CompileMapping(im, svmRows, 1)
-			if err != nil {
-				return nil, err
-			}
-			m := array.NewMachine(cfg, 1, svmRows, arithCols)
+		Name: "tiny-svm", Cfg: cfg, Prog: mp.Prog,
+		Tiles: 1, Rows: svmRows, Cols: arithCols,
+		Load: func(m *array.Machine) error {
 			input := []int{1, 1}
 			for c := 0; c < mp.Columns; c++ {
 				for j, rows := range mp.InputRows {
@@ -119,9 +108,9 @@ func TinySVM(cfg *mtj.Config) Workload {
 					}
 				}
 			}
-			return controller.New(controller.ProgramStore(mp.Prog), m), nil
+			return nil
 		},
-	}
+	}, nil
 }
 
 // tinyBNNNetwork hand-constructs a 6-4-2 binarized network with
@@ -156,24 +145,23 @@ const (
 
 // TinyBNN compiles the hand-built network through the production
 // application mapping, one input sample per batch column.
-func TinyBNN(cfg *mtj.Config) Workload {
+func TinyBNN(cfg *mtj.Config) (Workload, error) {
+	mp, err := bnn.CompileMapping(tinyBNNNetwork(), bnnRows, bnnCols)
+	if err != nil {
+		return Workload{}, fmt.Errorf("fault: compiling tiny-bnn: %w", err)
+	}
 	return Workload{
-		Name: "tiny-bnn",
-		New: func() (*controller.Controller, error) {
-			n := tinyBNNNetwork()
-			mp, err := bnn.CompileMapping(n, bnnRows, bnnCols)
-			if err != nil {
-				return nil, err
-			}
-			m := array.NewMachine(cfg, 1, bnnRows, arithCols)
+		Name: "tiny-bnn", Cfg: cfg, Prog: mp.Prog,
+		Tiles: 1, Rows: bnnRows, Cols: arithCols,
+		Load: func(m *array.Machine) error {
 			for c := 0; c < bnnCols; c++ {
 				for i, row := range mp.InputRows {
 					m.Tiles[0].SetBit(row, c, (i+c)%2)
 				}
 			}
-			return controller.New(controller.ProgramStore(mp.Prog), m), nil
+			return nil
 		},
-	}
+	}, nil
 }
 
 // tinyFFTParams sizes the FFT workload: the smallest legal transform
@@ -190,24 +178,24 @@ const (
 
 // TinyFFT compiles the 2-point transform through the production FFT
 // mapping, one fixed complex signal per batch column.
-func TinyFFT(cfg *mtj.Config) Workload {
+func TinyFFT(cfg *mtj.Config) (Workload, error) {
+	mp, err := fft.Compile(tinyFFTParams(), fftRows, fftCols)
+	if err != nil {
+		return Workload{}, fmt.Errorf("fault: compiling tiny-fft: %w", err)
+	}
 	return Workload{
-		Name: "tiny-fft",
-		New: func() (*controller.Controller, error) {
-			mp, err := fft.Compile(tinyFFTParams(), fftRows, fftCols)
-			if err != nil {
-				return nil, err
-			}
-			m := array.NewMachine(cfg, 1, fftRows, arithCols)
+		Name: "tiny-fft", Cfg: cfg, Prog: mp.Prog,
+		Tiles: 1, Rows: fftRows, Cols: arithCols,
+		Load: func(m *array.Machine) error {
 			for c := 0; c < fftCols; c++ {
 				for i := range mp.InRe {
 					loadRows(m, mp.InRe[i], c, uint64(2*i+c+1))
 					loadRows(m, mp.InIm[i], c, uint64(3*i+c))
 				}
 			}
-			return controller.New(controller.ProgramStore(mp.Prog), m), nil
+			return nil
 		},
-	}
+	}, nil
 }
 
 // loadRows writes an LSB-first value into one column of the listed rows.
@@ -217,47 +205,31 @@ func loadRows(m *array.Machine, rows []int, col int, v uint64) {
 	}
 }
 
-// ArithStream is the trace-layer form of the multiplier workload: the
-// same program priced analytically.
-func ArithStream(cfg *mtj.Config) (StreamWorkload, error) {
-	prog, _, _, err := compiledArith(cfg)
-	if err != nil {
-		return StreamWorkload{}, err
+// Workloads builds every built-in workload under cfg.
+func Workloads(cfg *mtj.Config) ([]Workload, error) {
+	var ws []Workload
+	for _, build := range []func(*mtj.Config) (Workload, error){Arith, TinySVM, TinyBNN, TinyFFT} {
+		w, err := build(cfg)
+		if err != nil {
+			return nil, err
+		}
+		ws = append(ws, w)
 	}
-	model := energy.NewModel(cfg)
-	model.RowBits = arithCols
-	return StreamWorkload{
-		Name:  "arith",
-		Model: model,
-		New:   func() sim.OpStream { return sim.StreamFromProgram(prog, 1) },
-	}, nil
-}
-
-// Workloads returns the built-in machine-layer workload registry keyed
-// by CLI name.
-func Workloads(cfg *mtj.Config) map[string]Workload {
-	ws := map[string]Workload{}
-	for _, w := range []Workload{Arith(cfg), TinySVM(cfg), TinyBNN(cfg), TinyFFT(cfg)} {
-		ws[w.Name] = w
-	}
-	return ws
-}
-
-// WorkloadNames returns the registry's names, sorted.
-func WorkloadNames(cfg *mtj.Config) []string {
-	ws := Workloads(cfg)
-	names := make([]string, 0, len(ws))
-	for name := range ws {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return ws, nil
 }
 
 // LookupWorkload resolves a CLI workload name.
 func LookupWorkload(cfg *mtj.Config, name string) (Workload, error) {
-	if w, ok := Workloads(cfg)[name]; ok {
-		return w, nil
+	ws, err := Workloads(cfg)
+	if err != nil {
+		return Workload{}, err
 	}
-	return Workload{}, fmt.Errorf("fault: unknown workload %q (have %v)", name, WorkloadNames(cfg))
+	var names []string
+	for _, w := range ws {
+		if w.Name == name {
+			return w, nil
+		}
+		names = append(names, w.Name)
+	}
+	return Workload{}, fmt.Errorf("fault: unknown workload %q (have %v)", name, names)
 }
