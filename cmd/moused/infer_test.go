@@ -23,6 +23,12 @@ func postInfer(t *testing.T, ts *httptest.Server, req inferRequest) (*http.Respo
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(t, ts, body)
+}
+
+// postBody POSTs a raw /v1/infer body and decodes a 200 response.
+func postBody(t *testing.T, ts *httptest.Server, body []byte) (*http.Response, inferResponse) {
+	t.Helper()
 	resp, err := ts.Client().Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -141,13 +147,66 @@ func TestInferEndpointValidation(t *testing.T) {
 		t.Errorf("GET /v1/infer: %s, want 405", resp.Status)
 	}
 
-	resp, err = ts.Client().Post(ts.URL+"/v1/infer", "application/json", strings.NewReader("{not json"))
+	// A body is read under an 8 MiB limit: the same valid document
+	// padded with an unknown string field is served below the limit
+	// and refused above it.
+	hb, err := workload.HotBatchByName("svm-adult")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: %s, want 400", resp.Status)
+	samples := hb.Samples(4)
+	offline, err := hb.NewBatched()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := offline(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := json.Marshal(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(size int) []byte {
+		head := `{"workload":"svm-adult","pad":"`
+		tail := `","samples":` + string(valid) + `}`
+		return []byte(head + strings.Repeat("x", size-len(head)-len(tail)) + tail)
+	}
+
+	for name, body := range map[string][]byte{
+		"malformed":        []byte("{not json"),
+		"over the limit":   padded(maxInferBody + 1),
+		"float feature":    []byte(`{"workload":"svm-adult","samples":[[1.5]]}`),
+		"exponent feature": []byte(`{"workload":"svm-adult","samples":[[1e2]]}`),
+		"int overflow":     []byte(`{"workload":"svm-adult","samples":[[9223372036854775808]]}`),
+		"null samples":     []byte(`{"workload":"svm-adult","samples":null}`),
+		"non-array row":    []byte(`{"workload":"svm-adult","samples":[7]}`),
+		"string row":       []byte(`{"workload":"svm-adult","samples":["1,2"]}`),
+	} {
+		resp, _ := postBody(t, ts, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %s, want 400", name, resp.Status)
+		}
+	}
+
+	for name, body := range map[string][]byte{
+		"at the limit": padded(maxInferBody),
+		"unknown nested field": []byte(`{"trace":{"id":[1,{"x":null}],"on":true},"workload":"svm-adult","samples":` +
+			string(valid) + `,"extra":-1.5e3}`),
+	} {
+		resp, out := postBody(t, ts, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: %s, want 200", name, resp.Status)
+			continue
+		}
+		if len(out.Predictions) != len(want) {
+			t.Fatalf("%s: %d predictions for %d samples", name, len(out.Predictions), len(want))
+		}
+		for i := range want {
+			if out.Predictions[i] != want[i] {
+				t.Errorf("%s sample %d: served %d, offline %d", name, i, out.Predictions[i], want[i])
+			}
+		}
 	}
 
 	for name, req := range map[string]inferRequest{
