@@ -177,8 +177,8 @@ func (s *server) serveInfer(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
 		return
 	}
-	var req inferRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBody)).Decode(&req); err != nil {
+	req, err := readInfer(w, r)
+	if err != nil {
 		s.inferRequests.With("unknown", "invalid").Inc()
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 
 	"mouse/internal/lint"
@@ -184,24 +183,4 @@ func (r *CrossResult) Disagreement() string {
 		return fmt.Sprintf("%s: segment engine disagrees with stepping engine: %s", r.Name, r.SegmentMismatch)
 	}
 	return ""
-}
-
-// CheckAgreement cross-validates every workload and returns an error
-// describing the first static/dynamic disagreement: a refuted
-// certificate or an unproven hazard.
-func CheckAgreement(ws []Workload, opts Options) error {
-	var failures []string
-	for _, w := range ws {
-		r, err := CrossValidate(w, opts)
-		if err != nil {
-			return err
-		}
-		if d := r.Disagreement(); d != "" {
-			failures = append(failures, d)
-		}
-	}
-	if len(failures) > 0 {
-		return errors.New("fault: static/dynamic disagreement: " + failures[0])
-	}
-	return nil
 }

@@ -87,9 +87,14 @@ func (d *Device) exec(b *batch) {
 		b.fail(err)
 		return
 	}
-	samples := make([][]int, 0, b.n)
-	for _, r := range b.reqs {
-		samples = append(samples, r.samples...)
+	// A lone request (every capacity-sized one) is classified in place;
+	// only a merged batch needs its row headers gathered.
+	samples := b.reqs[0].samples
+	if len(b.reqs) > 1 {
+		samples = make([][]int, 0, b.n)
+		for _, r := range b.reqs {
+			samples = append(samples, r.samples...)
+		}
 	}
 	preds, err := cls(samples)
 	if err != nil {
