@@ -25,55 +25,113 @@ import (
 //     columns — the same formulas Tile.ExecLogicFull applies to its
 //     column bit-planes, with lanes in place of columns.
 //
-// The replay loop executes a compile.FlatProgram, so validation, truth
-// table lookup, and activation decoding all happened once at compile
-// time; nothing in the loop allocates or can fail. For a column-local
-// program (no rotated write) the loop also takes a live-column bound
-// and touches only the columns a batch fills. Interrupted pulses
-// have no word-parallel form (the partial resistor-network integration
-// is per cell), so intermittent execution stays on the scalar
-// Machine/MachineRunner path — the batch engine is the
-// continuous-power fast path only, and tests hold it bit-for-bit to 64
-// scalar runs.
+// The replay loop executes a FlatProgram, so validation, truth table
+// lookup, and activation decoding all happened once at compile time;
+// nothing in the loop allocates or can fail. Flatten also shapes the
+// ops for the loop: a preset directly followed by a gate on the same row
+// is fused into that gate (one pass writes preset-then-gate), each gate
+// carries one of six switch functions with its masks resolved, and an
+// activation latch is a list of column runs, so presets and gates
+// iterate contiguous subslices with no per-column dispatch. For a
+// column-local program (no rotated write) the loop also takes a
+// live-column bound and touches only the columns a batch fills.
+// Interrupted pulses have no word-parallel form (the partial
+// resistor-network integration is per cell), so intermittent execution
+// stays on the scalar Machine/MachineRunner path — the batch engine is
+// the continuous-power fast path only, and tests hold it bit-for-bit to
+// 64 scalar runs.
 
 // MaxLanes is the number of independent samples one BatchMachine
 // advances per word operation — the width of the lane words.
 const MaxLanes = 64
 
-// FlatOp is one pre-resolved instruction of a FlatProgram
-// (Flatten builds them). Field usage mirrors isa.Instruction,
-// but every value is already in the form the batch executor consumes —
-// validation, geometry checks, truth-table lookup, and activation
-// decoding all happened at compile time.
+// FlatOp is one pre-resolved op of a FlatProgram (Flatten builds them).
+// Validation, geometry checks, truth-table lookup, preset fusion and
+// activation decoding all happened at compile time; the fields hold
+// only what Replay consumes.
 type FlatOp struct {
-	Kind isa.Kind
+	code opCode
 
-	// Memory fields (read/write): tile, row, and the rotation wrapped
-	// to the machine width (Machine wraps narrow machines the same
-	// way).
-	Tile int
-	Row  int
-	Rot  int
+	// broadcast marks an ACT that latches every tile.
+	broadcast bool
 
-	// Logic fields: input/output rows, arity, and the truth table's
-	// threshold dispatch — the output switches in a column when at
-	// least MinP of its NIn inputs are P, toward AP when ToAP (see
-	// mtj.TruthTable.SwitchWord).
-	In   [3]int
-	Out  int
-	NIn  int
-	MinP int
-	ToAP bool
+	// tile addresses a read, write or per-tile ACT. row is the row a
+	// read, write or preset moves, or a gate's output row. rot is a
+	// write's rotation, wrapped to the machine width (Machine wraps
+	// narrow machines the same way). in holds a gate's input rows;
+	// unused inputs stay row 0 and are never read.
+	tile, row, rot uint16
+	in             [3]uint16
 
-	// Preset field: true writes AP (logic 1).
-	AP bool
+	// mix combines a gate's switch word with its output row; a preset
+	// writes mix.target.
+	mix mix
 
-	// Activation fields: the resolved column set — deduplicated,
-	// filtered to the machine width exactly like Tile.SetActive, and in
-	// ascending order, so the columns below a live bound are a prefix.
-	Broadcast bool
-	Cols      []uint16
+	// runs is an ACT's column set as sorted, disjoint, non-adjacent
+	// [lo, hi) runs, filtered to the machine width exactly like
+	// Tile.SetActive.
+	runs []colRun
 }
+
+// opCode selects what Replay does for an op. A logic op's code is its
+// switch function: which columns a full pulse switches, as a function
+// of the input lane words. Flatten derives it from the truth table's
+// arity and P-count threshold (MinSwitchP): the output switches where
+// at least MinP of the NIn inputs are P (logic 0).
+type opCode uint8
+
+const (
+	opRead opCode = iota
+	opWrite
+	opPreset
+	opAct
+	opNever  // gate with MinP > NIn: no column switches, so Replay skips it
+	opAlways // gate with MinP <= 0: every active column switches
+	opNot    // one input, P
+	opOr2    // either of two inputs P
+	opAnd2   // both of two inputs P
+	opOr3    // any of three inputs P
+	opMaj3   // at least two of three inputs P
+	opAnd3   // all three inputs P
+)
+
+// switchFn maps a truth table's (NIn, MinP) threshold to its switch
+// function.
+func switchFn(nIn, minP int) opCode {
+	switch {
+	case minP > nIn:
+		return opNever
+	case minP <= 0:
+		return opAlways
+	case nIn == 1:
+		return opNot
+	case nIn == 2 && minP == 1:
+		return opOr2
+	case nIn == 2:
+		return opAnd2
+	case minP == 1:
+		return opOr3
+	case minP == 2:
+		return opMaj3
+	default:
+		return opAnd3
+	}
+}
+
+// mix writes a gate's result into its output word: the columns the
+// gate switches take the target state (^0 = AP), and the rest keep the
+// word the output held or, for a gate with a fused preset (fused ^0),
+// the preset value. Flatten keeps a fused gate only when that value is
+// the opposite state, ^target (otherwise the pair is a preset). A
+// preset op writes target.
+type mix struct{ target, fused uint64 }
+
+func (m mix) apply(out, sw uint64) uint64 {
+	return m.target ^ (out^m.target|m.fused)&^sw
+}
+
+// colRun is the half-open column interval [lo, hi).
+type colRun struct{ lo, hi uint16 }
 
 // FlatProgram is a program compiled for one machine geometry and one
 // electrical configuration. It is immutable after compilation and safe
@@ -85,8 +143,8 @@ type FlatProgram struct {
 	// resolved against; Replay refuses a machine of any other shape.
 	Tiles, Rows, Cols int
 
-	// ColumnLocal reports that no write rotates (every wrapped Rot is
-	// 0). Reads, unrotated writes, presets and logic then act on each
+	// ColumnLocal reports that no write rotates (every wrapped
+	// rotation is 0). Reads, unrotated writes, presets and logic then act on each
 	// column independently and the activation latch is a set, so the
 	// state of column c never depends on a column other than c: Replay
 	// can skip every column at or above its live bound.
@@ -103,10 +161,12 @@ type BatchTile struct {
 	// k's value, 1 = AP = logic 1.
 	lanes []uint64
 
-	// active lists the active columns. It aliases the compiled
-	// program's column set (immutable) — replacement semantics, exactly
-	// like Tile.SetActive.
-	active []uint16
+	// active holds the active column runs that start below end; end
+	// clips the last of them (Replay's live bound). active aliases the
+	// compiled program's runs (immutable) — replacement semantics,
+	// exactly like Tile.SetActive.
+	active []colRun
+	end    int
 }
 
 func newBatchTile(rows, cols int) *BatchTile {
@@ -143,8 +203,24 @@ func (t *BatchTile) SetCellLanes(row, col int, w uint64) {
 	t.lanes[row*t.cols+col] = w
 }
 
-// ActiveColumns returns the indices of currently active columns.
-func (t *BatchTile) ActiveColumns() []uint16 { return t.active }
+// FillRowLanes stores lane word w into every column of row — the bulk
+// loader for a row that holds the same bits in every column.
+func (t *BatchTile) FillRowLanes(row int, w uint64) {
+	t.checkCell(row, 0)
+	fill(t.rowWords(row), w)
+}
+
+// ActiveColumns returns the indices of currently active columns in
+// ascending order, expanded from the latched runs.
+func (t *BatchTile) ActiveColumns() []uint16 {
+	var cols []uint16
+	for _, r := range t.active {
+		for c := int(r.lo); c < min(int(r.hi), t.end); c++ {
+			cols = append(cols, uint16(c))
+		}
+	}
+	return cols
+}
 
 // BatchMachine is the lane-sliced image of a Machine: every tile a
 // BatchTile, and the memory buffer one lane word per column.
@@ -190,7 +266,7 @@ func (m *BatchMachine) Reset() {
 		for i := range t.lanes {
 			t.lanes[i] = 0
 		}
-		t.active = nil
+		t.active, t.end = nil, 0
 	}
 	for i := range m.Buffer {
 		m.Buffer[i] = 0
@@ -287,7 +363,7 @@ func (m *BatchMachine) StoreLane(lane int, dst *Machine) error {
 				}
 			}
 		}
-		dt.SetActive(st.active)
+		dt.SetActive(st.ActiveColumns())
 	}
 	m.BufferLane(lane, dst.Buffer)
 	return nil
@@ -337,112 +413,151 @@ func (m *BatchMachine) Replay(fp *FlatProgram, live int) error {
 	}
 	for i := range fp.Ops {
 		op := &fp.Ops[i]
-		switch op.Kind {
-		case isa.KindRead:
-			copy(m.Buffer[:live], m.Tiles[op.Tile].rowWords(op.Row))
-		case isa.KindWrite:
+		switch op.code {
+		case opRead:
+			copy(m.Buffer[:live], m.Tiles[op.tile].rowWords(int(op.row)))
+		case opWrite:
 			// Destination column c receives buffer word (c-rot) mod cols —
 			// the lane-sliced image of WriteRowRot's left rotation. Lane
 			// bits are untouched: rotation permutes columns, not samples.
 			// live < cols implies rot 0, where the second copy is empty.
-			dst := m.Tiles[op.Tile].rowWords(op.Row)
-			copy(dst[op.Rot:live], m.Buffer[:live-op.Rot])
-			copy(dst[:op.Rot], m.Buffer[cols-op.Rot:])
-		case isa.KindPreset:
-			var w uint64
-			if op.AP {
-				w = ^uint64(0)
-			}
+			rot := int(op.rot)
+			dst := m.Tiles[op.tile].rowWords(int(op.row))
+			copy(dst[rot:live], m.Buffer[:live-rot])
+			copy(dst[:rot], m.Buffer[cols-rot:])
+		case opPreset:
 			for _, t := range m.Tiles {
-				row := t.rowWords(op.Row)
-				for _, c := range t.active {
-					row[c] = w
+				row := t.rowWords(int(op.row))
+				for _, r := range t.active {
+					fill(row[r.lo:min(int(r.hi), t.end)], op.mix.target)
 				}
 			}
-		case isa.KindLogic:
+		case opAct:
+			// Latch the runs that start below live; presets and gates
+			// clip the last of them at live.
+			n, _ := slices.BinarySearchFunc(op.runs, live, func(r colRun, c int) int {
+				return int(r.lo) - c
+			})
+			active := op.runs[:n]
+			for ti, t := range m.Tiles {
+				if op.broadcast || ti == int(op.tile) {
+					t.active, t.end = active, live
+				} else {
+					t.active, t.end = nil, 0
+				}
+			}
+		case opNot:
 			for _, t := range m.Tiles {
-				t.execLogic(op)
+				t.gateNot(op)
 			}
-		case isa.KindAct:
-			// Latch the prefix of the ascending column set below live;
-			// preset and logic then iterate only live columns.
-			n, _ := slices.BinarySearch(op.Cols, uint16(live))
-			active := op.Cols[:n]
-			if op.Broadcast {
-				for _, t := range m.Tiles {
-					t.active = active
-				}
-			} else {
-				for ti, t := range m.Tiles {
-					if ti == op.Tile {
-						t.active = active
-					} else {
-						t.active = nil
-					}
-				}
+		case opOr2:
+			for _, t := range m.Tiles {
+				t.gateOr2(op)
+			}
+		case opAnd2:
+			for _, t := range m.Tiles {
+				t.gateAnd2(op)
+			}
+		case opOr3:
+			for _, t := range m.Tiles {
+				t.gateOr3(op)
+			}
+		case opMaj3:
+			for _, t := range m.Tiles {
+				t.gateMaj3(op)
+			}
+		case opAnd3:
+			for _, t := range m.Tiles {
+				t.gateAnd3(op)
 			}
 		}
 	}
 	return nil
 }
 
-// execLogic applies one full-pulse gate to the lane words of the active
-// columns — mtj.TruthTable.SwitchWord's threshold masks, pre-dispatched
-// by Flatten into (NIn, MinP, ToAP).
-func (t *BatchTile) execLogic(op *FlatOp) {
-	if len(t.active) == 0 {
-		return
+func fill(s []uint64, w uint64) {
+	for i := range s {
+		s[i] = w
 	}
-	out := t.rowWords(op.Out)
-	switch m := op.MinP; {
-	case m > op.NIn:
-		return
-	case m <= 0:
-		// Every lane of every active column switches to the target state.
-		var w uint64
-		if op.ToAP {
-			w = ^uint64(0)
+}
+
+// The gate kernels apply one full-pulse gate to the lane words of a
+// tile's active columns: each walks the runs (the last clipped at end)
+// as subslices of its rows. Input words hold 1 for AP, so a
+// complemented input is set where that input is P; each switch word is
+// the P-count threshold of its function, De Morgan-folded. Reslicing
+// the inputs to the run's length lets the compiler drop the bounds
+// checks in the column loop.
+
+func (t *BatchTile) gateNot(op *FlatOp) {
+	out, a := t.rowWords(int(op.row)), t.rowWords(int(op.in[0]))
+	m, end := op.mix, t.end
+	for _, r := range t.active {
+		o := out[r.lo:min(int(r.hi), end)]
+		a := a[r.lo:][:len(o)]
+		for i, w := range o {
+			o[i] = m.apply(w, ^a[i])
 		}
-		for _, c := range t.active {
-			out[c] = w
+	}
+}
+
+func (t *BatchTile) gateOr2(op *FlatOp) {
+	out, a, b := t.rowWords(int(op.row)), t.rowWords(int(op.in[0])), t.rowWords(int(op.in[1]))
+	m, end := op.mix, t.end
+	for _, r := range t.active {
+		o := out[r.lo:min(int(r.hi), end)]
+		a, b := a[r.lo:][:len(o)], b[r.lo:][:len(o)]
+		for i, w := range o {
+			o[i] = m.apply(w, ^(a[i] & b[i]))
 		}
-		return
 	}
-	in0 := t.rowWords(op.In[0])
-	var in1, in2 []uint64
-	if op.NIn >= 2 {
-		in1 = t.rowWords(op.In[1])
-	}
-	if op.NIn >= 3 {
-		in2 = t.rowWords(op.In[2])
-	}
-	for _, c := range t.active {
-		var sw uint64
-		switch op.NIn {
-		case 1:
-			sw = ^in0[c]
-		case 2:
-			pa, pb := ^in0[c], ^in1[c]
-			if op.MinP == 1 {
-				sw = pa | pb
-			} else {
-				sw = pa & pb
-			}
-		default:
-			pa, pb, pc := ^in0[c], ^in1[c], ^in2[c]
-			switch op.MinP {
-			case 1:
-				sw = pa | pb | pc
-			case 2:
-				sw = pa&(pb|pc) | pb&pc
-			default:
-				sw = pa & pb & pc
-			}
+}
+
+func (t *BatchTile) gateAnd2(op *FlatOp) {
+	out, a, b := t.rowWords(int(op.row)), t.rowWords(int(op.in[0])), t.rowWords(int(op.in[1]))
+	m, end := op.mix, t.end
+	for _, r := range t.active {
+		o := out[r.lo:min(int(r.hi), end)]
+		a, b := a[r.lo:][:len(o)], b[r.lo:][:len(o)]
+		for i, w := range o {
+			o[i] = m.apply(w, ^(a[i] | b[i]))
 		}
-		if op.ToAP {
-			out[c] |= sw
-		} else {
-			out[c] &^= sw
+	}
+}
+
+func (t *BatchTile) gateOr3(op *FlatOp) {
+	out, a, b, c := t.rowWords(int(op.row)), t.rowWords(int(op.in[0])), t.rowWords(int(op.in[1])), t.rowWords(int(op.in[2]))
+	m, end := op.mix, t.end
+	for _, r := range t.active {
+		o := out[r.lo:min(int(r.hi), end)]
+		a, b, c := a[r.lo:][:len(o)], b[r.lo:][:len(o)], c[r.lo:][:len(o)]
+		for i, w := range o {
+			o[i] = m.apply(w, ^(a[i] & b[i] & c[i]))
+		}
+	}
+}
+
+func (t *BatchTile) gateMaj3(op *FlatOp) {
+	out, a, b, c := t.rowWords(int(op.row)), t.rowWords(int(op.in[0])), t.rowWords(int(op.in[1])), t.rowWords(int(op.in[2]))
+	m, end := op.mix, t.end
+	for _, r := range t.active {
+		o := out[r.lo:min(int(r.hi), end)]
+		a, b, c := a[r.lo:][:len(o)], b[r.lo:][:len(o)], c[r.lo:][:len(o)]
+		for i, w := range o {
+			// At least two inputs P: the complement of at least two AP.
+			o[i] = m.apply(w, ^(a[i]&(b[i]|c[i]) | b[i]&c[i]))
+		}
+	}
+}
+
+func (t *BatchTile) gateAnd3(op *FlatOp) {
+	out, a, b, c := t.rowWords(int(op.row)), t.rowWords(int(op.in[0])), t.rowWords(int(op.in[1])), t.rowWords(int(op.in[2]))
+	m, end := op.mix, t.end
+	for _, r := range t.active {
+		o := out[r.lo:min(int(r.hi), end)]
+		a, b, c := a[r.lo:][:len(o)], b[r.lo:][:len(o)], c[r.lo:][:len(o)]
+		for i, w := range o {
+			o[i] = m.apply(w, ^(a[i] | b[i] | c[i]))
 		}
 	}
 }

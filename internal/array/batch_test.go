@@ -23,7 +23,9 @@ const (
 // randBatchProgram emits a valid random instruction stream: activation
 // changes (broadcast and per-tile, list and range forms), presets,
 // logic over every gate kind, reads, and rotated writes — the full
-// datapath surface the batch replay must reproduce.
+// datapath surface the batch replay must reproduce. A fixed share of
+// the gates follow a preset of their own output row, the pair Flatten
+// fuses into one op.
 func randBatchProgram(rng *rand.Rand, n int) isa.Program {
 	var p isa.Program
 	p = append(p, isa.ActRange(true, 0, 0, batchTestCols, 1))
@@ -45,20 +47,26 @@ func randBatchProgram(rng *rand.Rand, n int) isa.Program {
 		case 4:
 			p = append(p, isa.WriteRot(rng.Intn(batchTestTiles), rng.Intn(batchTestRows),
 				rng.Intn(2*batchTestCols))) // exercises the width wrap
-		default:
-			g := mtj.GateKind(rng.Intn(mtj.NumGates))
-			spec := mtj.Spec(g)
+		case 5, 6: // a preset fused into the gate that follows it
 			out := rng.Intn(batchTestRows)
-			// Inputs: distinct rows of the opposite parity.
-			perm := rng.Perm(batchTestRows / 2)
-			ins := make([]int, spec.Inputs)
-			for i := range ins {
-				ins[i] = perm[i]*2 + 1 - out&1
-			}
-			p = append(p, isa.Logic(g, ins, out))
+			p = append(p, isa.Preset(out, mtj.FromBit(rng.Intn(2))), randGate(rng, out))
+		default:
+			p = append(p, randGate(rng, rng.Intn(batchTestRows)))
 		}
 	}
 	return p
+}
+
+// randGate returns a random gate writing row out, its inputs distinct
+// rows of the opposite parity.
+func randGate(rng *rand.Rand, out int) isa.Instruction {
+	g := mtj.GateKind(rng.Intn(mtj.NumGates))
+	perm := rng.Perm(batchTestRows / 2)
+	ins := make([]int, mtj.Spec(g).Inputs)
+	for i := range ins {
+		ins[i] = perm[i]*2 + 1 - out&1
+	}
+	return isa.Logic(g, ins, out)
 }
 
 // seedLane fills one scalar machine with lane's random initial cell
@@ -178,7 +186,7 @@ func cloneBatch(b *BatchMachine) *BatchMachine {
 	c := NewBatchMachine(len(b.Tiles), b.rows, b.cols)
 	for ti, t := range b.Tiles {
 		copy(c.Tiles[ti].lanes, t.lanes)
-		c.Tiles[ti].active = t.active
+		c.Tiles[ti].active, c.Tiles[ti].end = t.active, t.end
 	}
 	copy(c.Buffer, b.Buffer)
 	return c
@@ -379,6 +387,130 @@ func TestFlattenRejectsInvalidPrograms(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := Flatten(tc.prog, cfg, 2, 8, 8); err == nil {
 			t.Errorf("%s: flatten accepted the program", tc.name)
+		}
+	}
+}
+
+// TestReplayKernelsMatchScalar: every gate under every electrical
+// configuration (MinP depends on it, so some gates never or always
+// switch), unfused or fused after a P or an AP preset, over an active
+// set of one run, of several runs, or of one run clipped by the live
+// bound, leaves the same lanes, buffer and latch as 64 scalar runs on
+// the resistor-network path. Columns at or above live must keep their
+// initial cells and buffer.
+func TestReplayKernelsMatchScalar(t *testing.T) {
+	const out = 6
+	ins := []int{1, 3, 5}
+	acts := []struct {
+		name string
+		act  isa.Instruction
+		live int
+	}{
+		{"one run", isa.ActRange(true, 0, 3, 40, 1), batchTestCols},
+		{"several runs", isa.ActList(false, 1, []uint16{69, 1, 33, 2, 9}), batchTestCols},
+		{"run clipped by live", isa.ActRange(true, 0, 5, 60, 1), 37},
+	}
+	fuses := []struct {
+		name   string
+		preset []isa.Instruction
+	}{
+		{"unfused", nil},
+		{"fused after P", []isa.Instruction{isa.Preset(out, mtj.P)}},
+		{"fused after AP", []isa.Instruction{isa.Preset(out, mtj.AP)}},
+	}
+	rng := rand.New(rand.NewSource(25))
+	for _, cfg := range []*mtj.Config{mtj.ModernSTT(), mtj.ProjectedSTT(), mtj.ProjectedSHE()} {
+		for g := mtj.GateKind(0); int(g) < mtj.NumGates; g++ {
+			for _, fu := range fuses {
+				for _, ac := range acts {
+					name := cfg.Name + "/" + g.String() + "/" + fu.name + "/" + ac.name
+					prog := isa.Program{ac.act}
+					prog = append(prog, fu.preset...)
+					prog = append(prog, isa.Logic(g, ins[:mtj.Spec(g).Inputs], out), isa.Read(1, out))
+					checkKernelCase(t, name, rng, cfg, prog, ac.live)
+				}
+			}
+		}
+	}
+}
+
+// checkKernelCase replays prog once over 64 random lanes bounded at
+// live and compares each lane with its scalar run: below live every
+// cell, buffer bit and latched column must match, and at or above it
+// the lane must keep its initial cells and buffer.
+func checkKernelCase(t *testing.T, name string, rng *rand.Rand, cfg *mtj.Config, prog isa.Program, live int) {
+	t.Helper()
+	flat, err := Flatten(prog, cfg, batchTestTiles, batchTestRows, batchTestCols)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	b := NewBatchMachine(batchTestTiles, batchTestRows, batchTestCols)
+	for _, tile := range b.Tiles {
+		for i := range tile.lanes {
+			tile.lanes[i] = rng.Uint64()
+		}
+	}
+	for c := range b.Buffer {
+		b.Buffer[c] = rng.Uint64()
+	}
+	start := cloneBatch(b)
+
+	// want holds the 64 scalar runs, packed back into lanes.
+	want := NewBatchMachine(batchTestTiles, batchTestRows, batchTestCols)
+	var latch [][]int
+	for lane := 0; lane < MaxLanes; lane++ {
+		m := NewMachine(cfg, batchTestTiles, batchTestRows, batchTestCols)
+		m.ForceScalar = true
+		if err := b.StoreLane(lane, m); err != nil {
+			t.Fatal(err)
+		}
+		for i, in := range prog {
+			if err := m.Exec(in); err != nil {
+				t.Fatalf("%s: lane %d: instruction %d: %v", name, lane, i, err)
+			}
+		}
+		if err := want.LoadLane(lane, m); err != nil {
+			t.Fatal(err)
+		}
+		if lane == 0 {
+			for _, tile := range m.Tiles {
+				latch = append(latch, tile.ActiveColumns())
+			}
+		}
+	}
+
+	if err := b.Replay(flat, live); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for ti, gt := range b.Tiles {
+		for r := 0; r < batchTestRows; r++ {
+			for c := 0; c < batchTestCols; c++ {
+				w := want.Tiles[ti].CellLanes(r, c)
+				if c >= live {
+					w = start.Tiles[ti].CellLanes(r, c)
+				}
+				if g := gt.CellLanes(r, c); g != w {
+					t.Fatalf("%s: tile %d cell (%d, %d): batched %#x, want %#x", name, ti, r, c, g, w)
+				}
+			}
+		}
+		var wantActive []uint16
+		for _, c := range latch[ti] {
+			if c < live {
+				wantActive = append(wantActive, uint16(c))
+			}
+		}
+		if !slices.Equal(gt.ActiveColumns(), wantActive) {
+			t.Fatalf("%s: tile %d active %v, want %v", name, ti, gt.ActiveColumns(), wantActive)
+		}
+	}
+	for c, g := range b.Buffer {
+		w := want.Buffer[c]
+		if c >= live {
+			w = start.Buffer[c]
+		}
+		if g != w {
+			t.Fatalf("%s: buffer column %d: batched %#x, want %#x", name, c, g, w)
 		}
 	}
 }

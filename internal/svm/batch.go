@@ -50,23 +50,25 @@ func (e *BatchEngine) Lanes() int { return array.MaxLanes }
 
 // LoadInputs packs the samples into the input rows, sample i in lane i,
 // the same bits in every column (the lane-sliced image of LoadInput).
+// Every sample is validated before any row is written, so a rejected
+// batch leaves the arena as it was.
 func (e *BatchEngine) LoadInputs(samples [][]int) error {
 	if len(samples) == 0 || len(samples) > array.MaxLanes {
 		return fmt.Errorf("svm: batch of %d samples out of range [1, %d]", len(samples), array.MaxLanes)
+	}
+	for lane, x := range samples {
+		if len(x) != len(e.m.InputRows) {
+			return fmt.Errorf("svm: sample %d has %d features, mapping expects %d", lane, len(x), len(e.m.InputRows))
+		}
 	}
 	t := e.arena.Tiles[0]
 	for j, rows := range e.m.InputRows {
 		for bi, row := range rows {
 			var w uint64
 			for lane, x := range samples {
-				if len(x) != len(e.m.InputRows) {
-					return fmt.Errorf("svm: sample %d has %d features, mapping expects %d", lane, len(x), len(e.m.InputRows))
-				}
 				w |= uint64(x[j]>>bi&1) << lane
 			}
-			for col := 0; col < e.m.Columns; col++ {
-				t.SetCellLanes(row, col, w)
-			}
+			t.FillRowLanes(row, w)
 		}
 	}
 	return nil

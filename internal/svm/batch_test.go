@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"slices"
 	"testing"
 
 	"mouse/internal/mtj"
@@ -152,4 +153,31 @@ func TestSVMBatchValidatesInput(t *testing.T) {
 	if err := eng.ClassifyBatchInto(make([]int, 1), samples[:2]); err == nil {
 		t.Error("accepted a short destination")
 	}
+
+	// A short sample late in a batch is rejected before any input row
+	// is written: the rows keep the previous batch's bits.
+	if err := eng.LoadInputs(samples[:3]); err != nil {
+		t.Fatal(err)
+	}
+	before := inputLanes(eng)
+	if err := eng.LoadInputs([][]int{samples[5], samples[6], samples[7][:2]}); err == nil {
+		t.Error("LoadInputs accepted a short feature vector")
+	}
+	if !slices.Equal(inputLanes(eng), before) {
+		t.Error("a rejected batch overwrote input rows")
+	}
+}
+
+// inputLanes returns the lane words of every input-row cell.
+func inputLanes(e *BatchEngine) []uint64 {
+	var words []uint64
+	t := e.arena.Tiles[0]
+	for _, rows := range e.m.InputRows {
+		for _, row := range rows {
+			for col := 0; col < t.Cols(); col++ {
+				words = append(words, t.CellLanes(row, col))
+			}
+		}
+	}
+	return words
 }
