@@ -12,10 +12,12 @@
 // Cell storage is packed: each row is a bit-plane of uint64 words (one
 // bit per column, 1 = AP = logic 1), and the activation latch is a
 // packed mask with a cached popcount. A full, uninterrupted logic pulse
-// reduces to a fixed truth table per (gate, configuration) — derived
-// once from the resistor-network model and memoized by package mtj — so
-// ExecLogicFull executes a gate over 64 columns per boolean word
-// operation, exactly as the hardware's column broadcast does.
+// switches the output exactly where the gate's switch function
+// (mtj.SwitchFn) holds: package mtj derives each (gate, configuration)
+// truth table once from the resistor-network model and refuses one that
+// differs from the gate's spec. ExecLogicFull therefore executes a gate
+// over 64 columns per boolean word operation, exactly as the hardware's
+// column broadcast does.
 //
 // Interrupted operations (truncated or per-column-partial current
 // pulses) still execute through the scalar resistor-network device
@@ -341,10 +343,10 @@ func (t *Tile) ExecLogic(g mtj.GateKind, inRows []int, outRow int, pulse PulseLe
 // ExecLogicFull performs gate g with a full, uninterrupted pulse in
 // every active column, 64 columns per boolean word operation. The
 // resistor network collapses to a threshold on the number of P-state
-// inputs (mtj.Table derives and memoizes it), so each word step builds
-// the count-threshold mask from the input bit-planes and switches
-// exactly the active columns that reach it — the word-parallel image of
-// the array's column broadcast.
+// inputs (mtj.Table derives it and checks it against the spec), so each
+// word step evaluates the gate's switch function on the input bit-planes
+// and switches exactly the active columns where it holds — the
+// word-parallel image of the array's column broadcast.
 func (t *Tile) ExecLogicFull(g mtj.GateKind, inRows []int, outRow int) error {
 	spec := mtj.Spec(g)
 	if err := t.checkLogic(g, spec, inRows, outRow); err != nil {
@@ -356,54 +358,23 @@ func (t *Tile) ExecLogicFull(g mtj.GateKind, inRows []int, outRow int) error {
 	}
 	out := t.rowWords(outRow)
 	toAP := tbl.Target == mtj.AP
-	var in0, in1, in2 []uint64
+	// Unused inputs alias the first; the switch function ignores them.
+	in0 := t.rowWords(inRows[0])
+	in1, in2 := in0, in0
 	switch spec.Inputs {
 	case 3:
 		in2 = t.rowWords(inRows[2])
 		fallthrough
 	case 2:
 		in1 = t.rowWords(inRows[1])
-		fallthrough
-	case 1:
-		in0 = t.rowWords(inRows[0])
 	}
 	for i, act := range t.active {
 		if act == 0 {
 			continue
 		}
-		// sw: active columns whose P-input count reaches the switching
-		// threshold. Complemented planes count P (logic 0) inputs; tail
-		// garbage from the complement is cleared by the active mask.
-		var sw uint64
-		switch m := tbl.MinSwitchP; {
-		case m <= 0:
-			sw = act
-		case m > spec.Inputs:
-			sw = 0
-		default:
-			switch spec.Inputs {
-			case 1:
-				sw = ^in0[i]
-			case 2:
-				pa, pb := ^in0[i], ^in1[i]
-				if m == 1 {
-					sw = pa | pb
-				} else {
-					sw = pa & pb
-				}
-			case 3:
-				pa, pb, pc := ^in0[i], ^in1[i], ^in2[i]
-				switch m {
-				case 1:
-					sw = pa | pb | pc
-				case 2:
-					sw = pa&(pb|pc) | pb&pc
-				default:
-					sw = pa & pb & pc
-				}
-			}
-			sw &= act
-		}
+		// sw: the active columns the gate switches. The active mask also
+		// clears the tail garbage the complemented planes carry.
+		sw := spec.Fn.Word(in0[i], in1[i], in2[i]) & act
 		if toAP {
 			out[i] |= sw
 		} else {

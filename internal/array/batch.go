@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"mouse/internal/isa"
+	"mouse/internal/mtj"
 )
 
 // Bit-sliced batching: the third axis of parallelism after the column
@@ -20,10 +21,10 @@ import (
 //     not samples);
 //   - a preset stores the all-lanes constant 0 or ^0 into each active
 //     column;
-//   - a full-pulse logic op applies the gate's P-count threshold mask
-//     (mtj.TruthTable.SwitchWord) to the lane words of the active
-//     columns — the same formulas Tile.ExecLogicFull applies to its
-//     column bit-planes, with lanes in place of columns.
+//   - a full-pulse logic op applies the gate's switch function
+//     (mtj.SwitchFn.Word) to the lane words of the active columns — the
+//     same function Tile.ExecLogicFull applies to its column bit-planes,
+//     with lanes in place of columns.
 //
 // The replay loop executes a FlatProgram, so validation, truth table
 // lookup, and activation decoding all happened once at compile time;
@@ -73,11 +74,9 @@ type FlatOp struct {
 	runs []colRun
 }
 
-// opCode selects what Replay does for an op. A logic op's code is its
-// switch function: which columns a full pulse switches, as a function
-// of the input lane words. Flatten derives it from the truth table's
-// arity and P-count threshold (MinSwitchP): the output switches where
-// at least MinP of the NIn inputs are P (logic 0).
+// opCode selects what Replay does for an op. A logic op's code is
+// opGate plus its gate's switch function (mtj.SwitchFn), so Replay
+// dispatches each gate straight to that function's kernel.
 type opCode uint8
 
 const (
@@ -85,38 +84,17 @@ const (
 	opWrite
 	opPreset
 	opAct
-	opNever  // gate with MinP > NIn: no column switches, so Replay skips it
-	opAlways // gate with MinP <= 0: every active column switches
-	opNot    // one input, P
-	opOr2    // either of two inputs P
-	opAnd2   // both of two inputs P
-	opOr3    // any of three inputs P
-	opMaj3   // at least two of three inputs P
-	opAnd3   // all three inputs P
+	opGate
 )
 
-// switchFn maps a truth table's (NIn, MinP) threshold to its switch
-// function.
-func switchFn(nIn, minP int) opCode {
-	switch {
-	case minP > nIn:
-		return opNever
-	case minP <= 0:
-		return opAlways
-	case nIn == 1:
-		return opNot
-	case nIn == 2 && minP == 1:
-		return opOr2
-	case nIn == 2:
-		return opAnd2
-	case minP == 1:
-		return opOr3
-	case minP == 2:
-		return opMaj3
-	default:
-		return opAnd3
-	}
-}
+const (
+	opNot  = opGate + opCode(mtj.FnNot)
+	opOr2  = opGate + opCode(mtj.FnOr2)
+	opAnd2 = opGate + opCode(mtj.FnAnd2)
+	opOr3  = opGate + opCode(mtj.FnOr3)
+	opMaj3 = opGate + opCode(mtj.FnMaj3)
+	opAnd3 = opGate + opCode(mtj.FnAnd3)
+)
 
 // mix writes a gate's result into its output word: the columns the
 // gate switches take the target state (^0 = AP), and the rest keep the
@@ -271,12 +249,6 @@ func (m *BatchMachine) Reset() {
 	for i := range m.Buffer {
 		m.Buffer[i] = 0
 	}
-}
-
-// LaneBit returns lane's logic value at (tile, row, col).
-func (m *BatchMachine) LaneBit(lane, tile, row, col int) int {
-	m.checkLane(lane)
-	return int(m.Tiles[tile].CellLanes(row, col) >> lane & 1)
 }
 
 // SetLaneBit stores a logic value at (tile, row, col) in one lane.
@@ -483,11 +455,14 @@ func fill(s []uint64, w uint64) {
 
 // The gate kernels apply one full-pulse gate to the lane words of a
 // tile's active columns: each walks the runs (the last clipped at end)
-// as subslices of its rows. Input words hold 1 for AP, so a
-// complemented input is set where that input is P; each switch word is
-// the P-count threshold of its function, De Morgan-folded. Reslicing
-// the inputs to the run's length lets the compiler drop the bounds
-// checks in the column loop.
+// as subslices of its rows and calls its switch function's Word with a
+// constant function, so the function's switch folds away. Reslicing the
+// inputs to the run's length lets the compiler drop the bounds checks
+// in the column loop.
+//
+// The loops stay apart from Tile.ExecLogicFull's on purpose: a shared
+// kernel (a function table, one switched kernel, or the packed tile
+// calling these through a BatchTile view) slowed one of the two engines.
 
 func (t *BatchTile) gateNot(op *FlatOp) {
 	out, a := t.rowWords(int(op.row)), t.rowWords(int(op.in[0]))
@@ -496,7 +471,7 @@ func (t *BatchTile) gateNot(op *FlatOp) {
 		o := out[r.lo:min(int(r.hi), end)]
 		a := a[r.lo:][:len(o)]
 		for i, w := range o {
-			o[i] = m.apply(w, ^a[i])
+			o[i] = m.apply(w, mtj.FnNot.Word(a[i], 0, 0))
 		}
 	}
 }
@@ -508,7 +483,7 @@ func (t *BatchTile) gateOr2(op *FlatOp) {
 		o := out[r.lo:min(int(r.hi), end)]
 		a, b := a[r.lo:][:len(o)], b[r.lo:][:len(o)]
 		for i, w := range o {
-			o[i] = m.apply(w, ^(a[i] & b[i]))
+			o[i] = m.apply(w, mtj.FnOr2.Word(a[i], b[i], 0))
 		}
 	}
 }
@@ -520,7 +495,7 @@ func (t *BatchTile) gateAnd2(op *FlatOp) {
 		o := out[r.lo:min(int(r.hi), end)]
 		a, b := a[r.lo:][:len(o)], b[r.lo:][:len(o)]
 		for i, w := range o {
-			o[i] = m.apply(w, ^(a[i] | b[i]))
+			o[i] = m.apply(w, mtj.FnAnd2.Word(a[i], b[i], 0))
 		}
 	}
 }
@@ -532,7 +507,7 @@ func (t *BatchTile) gateOr3(op *FlatOp) {
 		o := out[r.lo:min(int(r.hi), end)]
 		a, b, c := a[r.lo:][:len(o)], b[r.lo:][:len(o)], c[r.lo:][:len(o)]
 		for i, w := range o {
-			o[i] = m.apply(w, ^(a[i] & b[i] & c[i]))
+			o[i] = m.apply(w, mtj.FnOr3.Word(a[i], b[i], c[i]))
 		}
 	}
 }
@@ -544,8 +519,7 @@ func (t *BatchTile) gateMaj3(op *FlatOp) {
 		o := out[r.lo:min(int(r.hi), end)]
 		a, b, c := a[r.lo:][:len(o)], b[r.lo:][:len(o)], c[r.lo:][:len(o)]
 		for i, w := range o {
-			// At least two inputs P: the complement of at least two AP.
-			o[i] = m.apply(w, ^(a[i]&(b[i]|c[i]) | b[i]&c[i]))
+			o[i] = m.apply(w, mtj.FnMaj3.Word(a[i], b[i], c[i]))
 		}
 	}
 }
@@ -557,7 +531,7 @@ func (t *BatchTile) gateAnd3(op *FlatOp) {
 		o := out[r.lo:min(int(r.hi), end)]
 		a, b, c := a[r.lo:][:len(o)], b[r.lo:][:len(o)], c[r.lo:][:len(o)]
 		for i, w := range o {
-			o[i] = m.apply(w, ^(a[i] | b[i] | c[i]))
+			o[i] = m.apply(w, mtj.FnAnd3.Word(a[i], b[i], c[i]))
 		}
 	}
 }

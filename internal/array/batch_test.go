@@ -392,12 +392,14 @@ func TestFlattenRejectsInvalidPrograms(t *testing.T) {
 }
 
 // TestReplayKernelsMatchScalar: every gate under every electrical
-// configuration (MinP depends on it, so some gates never or always
-// switch), unfused or fused after a P or an AP preset, over an active
-// set of one run, of several runs, or of one run clipped by the live
-// bound, leaves the same lanes, buffer and latch as 64 scalar runs on
-// the resistor-network path. Columns at or above live must keep their
-// initial cells and buffer.
+// configuration (the scalar path solves each configuration's resistor
+// network; the kernels run the gate's switch function), unfused or
+// fused after a P or an AP preset, over an active set of one run, of
+// several runs, or of one run clipped by the live bound, leaves the same
+// lanes, buffer and latch as 64 scalar runs on the resistor-network
+// path: 12 gates x 3 configurations x 3 fusions x 3 active sets = 324
+// cases. Columns at or above live must keep their initial cells and
+// buffer.
 func TestReplayKernelsMatchScalar(t *testing.T) {
 	const out = 6
 	ins := []int{1, 3, 5}

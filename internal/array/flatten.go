@@ -11,10 +11,9 @@ import (
 // replays: every per-instruction decision is hoisted out of the replay
 // loop — instructions validated, rows checked against the concrete
 // machine geometry, write rotations wrapped at the tile width, and each
-// gate's resistor-network truth table resolved via mtj.Table to a
-// switch function (an opCode) and its target-state mask. Activation lists
-// are expanded, width-filtered and stored as sorted, coalesced column
-// runs.
+// gate checked via mtj.Table and resolved to its switch function (an
+// opCode) and its target-state mask. Activation lists are expanded,
+// width-filtered and stored as sorted, coalesced column runs.
 //
 // Flatten emits one op per instruction, except that a preset directly
 // followed by a gate writing the same row is fused into that gate: the
@@ -23,10 +22,9 @@ import (
 // isa.Instruction.Validate requires a gate's inputs to have the
 // opposite row parity from its output, so no gate reads the row just
 // preset, and both ops act on the same latched columns of every tile.
-// A gate whose result does not depend on its inputs becomes a preset:
-// one that always switches writes its target, and a fused one that
-// never switches (or whose preset already is its target) writes the
-// preset value. Any other preset stays a preset.
+// A fused gate whose preset already is its target writes that value
+// whatever its inputs, so it becomes a preset. Any other preset stays a
+// preset.
 //
 // Flatten also records whether the program is column-local
 // (FlatProgram.ColumnLocal), which lets Replay bound a sparse batch to
@@ -92,7 +90,7 @@ func Flatten(p isa.Program, cfg *mtj.Config, nTiles, rows, cols int) (*FlatProgr
 				op.in[j] = in.In[j]
 			}
 			op.row = in.Out
-			op.code = switchFn(tbl.Inputs, tbl.MinSwitchP)
+			op.code = opGate + opCode(mtj.Spec(in.Gate).Fn)
 			op.mix.target = laneWord(tbl.Target == mtj.AP)
 			// Fuse the preset just emitted for this row: its value
 			// becomes the gate's base.
@@ -103,10 +101,8 @@ func Flatten(p isa.Program, cfg *mtj.Config, nTiles, rows, cols int) (*FlatProgr
 				fp.Ops = fp.Ops[:n-1]
 			}
 			switch {
-			case op.code == opAlways || fused && base == op.mix.target:
+			case fused && base == op.mix.target:
 				op = presetOp(op.row, op.mix.target)
-			case fused && op.code == opNever:
-				op = presetOp(op.row, base)
 			case fused:
 				op.mix.fused = ^uint64(0)
 			}

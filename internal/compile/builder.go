@@ -221,15 +221,6 @@ func (b *Builder) Emit(in isa.Instruction) {
 // given columns in every tile, batching into the ranged form when the
 // columns are a contiguous run and into ≤5-column lists otherwise.
 func (b *Builder) ActivateBroadcast(cols []uint16) {
-	b.activate(true, 0, cols)
-}
-
-// ActivateTile emits Activate Columns instructions for one tile.
-func (b *Builder) ActivateTile(tile int, cols []uint16) {
-	b.activate(false, tile, cols)
-}
-
-func (b *Builder) activate(broadcast bool, tile int, cols []uint16) {
 	if b.err != nil || len(cols) == 0 {
 		return
 	}
@@ -242,7 +233,7 @@ func (b *Builder) activate(broadcast bool, tile int, cols []uint16) {
 		}
 	}
 	if contiguous {
-		b.Emit(isa.ActRange(broadcast, tile, int(cols[0]), len(cols), 1))
+		b.Emit(isa.ActRange(true, 0, int(cols[0]), len(cols), 1))
 		return
 	}
 	// The replacement semantics of ACT mean a scattered set larger than
@@ -252,7 +243,7 @@ func (b *Builder) activate(broadcast bool, tile int, cols []uint16) {
 		b.fail("scattered activation of %d columns exceeds one ACT list", len(cols))
 		return
 	}
-	b.Emit(isa.ActList(broadcast, tile, cols))
+	b.Emit(isa.ActList(true, 0, cols))
 }
 
 // MoveRows emits a read / rotated-write pair for each (src, dst) row

@@ -80,21 +80,64 @@ type GateSpec struct {
 	// Dir is the current direction during the operation; the output can
 	// only move toward Dir.Target().
 	Dir Direction
+	// Fn is the switch function (Inputs, MinP) fixes: "at least MinP of
+	// Inputs inputs are P".
+	Fn SwitchFn
 }
 
 var gateSpecs = [...]GateSpec{
-	NOT:   {NOT, 1, 1, P, TowardAP},
-	BUF:   {BUF, 1, 1, AP, TowardP},
-	NAND2: {NAND2, 2, 1, P, TowardAP},
-	AND2:  {AND2, 2, 1, AP, TowardP},
-	NOR2:  {NOR2, 2, 2, P, TowardAP},
-	OR2:   {OR2, 2, 2, AP, TowardP},
-	NAND3: {NAND3, 3, 1, P, TowardAP},
-	AND3:  {AND3, 3, 1, AP, TowardP},
-	NOR3:  {NOR3, 3, 3, P, TowardAP},
-	OR3:   {OR3, 3, 3, AP, TowardP},
-	MAJ3:  {MAJ3, 3, 2, AP, TowardP},
-	MIN3:  {MIN3, 3, 2, P, TowardAP},
+	NOT:   {NOT, 1, 1, P, TowardAP, FnNot},
+	BUF:   {BUF, 1, 1, AP, TowardP, FnNot},
+	NAND2: {NAND2, 2, 1, P, TowardAP, FnOr2},
+	AND2:  {AND2, 2, 1, AP, TowardP, FnOr2},
+	NOR2:  {NOR2, 2, 2, P, TowardAP, FnAnd2},
+	OR2:   {OR2, 2, 2, AP, TowardP, FnAnd2},
+	NAND3: {NAND3, 3, 1, P, TowardAP, FnOr3},
+	AND3:  {AND3, 3, 1, AP, TowardP, FnOr3},
+	NOR3:  {NOR3, 3, 3, P, TowardAP, FnAnd3},
+	OR3:   {OR3, 3, 3, AP, TowardP, FnAnd3},
+	MAJ3:  {MAJ3, 3, 2, AP, TowardP, FnMaj3},
+	MIN3:  {MIN3, 3, 2, P, TowardAP, FnMaj3},
+}
+
+// SwitchFn is a threshold gate's switch function: which evaluations
+// switch the output under a full pulse, as a function of the inputs. Each
+// is named by what it computes over the P (logic 0) inputs, so the AND2
+// gate, which switches when either input is P, has FnOr2.
+type SwitchFn uint8
+
+const (
+	FnNot  SwitchFn = iota // one input, P
+	FnOr2                  // either of two inputs P
+	FnAnd2                 // both of two inputs P
+	FnOr3                  // any of three inputs P
+	FnMaj3                 // at least two of three inputs P
+	FnAnd3                 // all three inputs P
+)
+
+// Word evaluates f 64 lanes at a time: bit i of each argument is one
+// evaluation's input (1 = AP; inputs beyond f's arity are ignored), and
+// bit i of the result reports whether that evaluation switches. It is the
+// only place the six P-count formulas are written; the packed column
+// engine and the bit-sliced batch engine both call it from their own
+// loops, the batch engine with a constant f so the switch folds away.
+// Each formula is De Morgan-folded: "at least m inputs P" is the
+// complement of "at least n-m+1 inputs AP".
+func (f SwitchFn) Word(a, b, c uint64) uint64 {
+	switch f {
+	case FnNot:
+		return ^a
+	case FnOr2:
+		return ^(a & b)
+	case FnAnd2:
+		return ^(a | b)
+	case FnOr3:
+		return ^(a & b & c)
+	case FnMaj3:
+		return ^(a&(b|c) | b&c)
+	default: // FnAnd3
+		return ^(a | b | c)
+	}
 }
 
 // Spec returns the threshold-gate specification for g.
@@ -168,10 +211,6 @@ func BiasWindow(g GateKind, cfg *Config) (lo, hi float64) {
 	rout := outputSeriesR(cfg, spec.Preset)
 	// Weakest case that must switch: exactly MinP inputs at P.
 	lo = ic * (parallelR(cfg, spec.Inputs, spec.MinP) + rout)
-	if spec.MinP == 0 {
-		// Degenerate (always switches); cap by a nominal 2x overdrive.
-		return lo, 2 * lo
-	}
 	// Strongest case that must NOT switch: MinP-1 inputs at P.
 	hi = ic * (parallelR(cfg, spec.Inputs, spec.MinP-1) + rout)
 	return lo, hi

@@ -19,11 +19,14 @@ import (
 // the low-resistance P state (parallelR), and a full, uninterrupted
 // pulse always meets the switching-time condition. The table therefore
 // collapses to "does the output switch when exactly k inputs are P",
-// for k = 0..Inputs.
+// for k = 0..Inputs. A gate is usable only when that answer is the spec's
+// threshold, k >= MinP, for every k: the engines then execute the gate's
+// SwitchFn, which the gate kind fixes, and no configuration can make them
+// compute another Boolean function.
 
 // TruthTable is the full-pulse behaviour of one gate under one
 // configuration, derived from the resistor network (not from the ideal
-// threshold spec — tests check they coincide).
+// threshold spec; Table refuses a table that differs from it).
 type TruthTable struct {
 	Gate   GateKind
 	Inputs int
@@ -33,13 +36,9 @@ type TruthTable struct {
 	// direction's target).
 	Target State
 	// SwitchAtP[k] reports whether a full pulse switches the output when
-	// exactly k inputs are in the P state.
+	// exactly k inputs are in the P state. Table returns only tables for
+	// which it equals k >= Spec(Gate).MinP.
 	SwitchAtP [4]bool
-	// MinSwitchP is the smallest k with SwitchAtP[k]; Inputs+1 when no
-	// input combination switches. Because adding a P input strictly
-	// lowers the network resistance, SwitchAtP is monotone and the whole
-	// table reduces to this single threshold.
-	MinSwitchP int
 	// Bias is the memoized operating voltage (identical to Bias()).
 	Bias float64
 	// Energy is the memoized per-column gate energy (identical to
@@ -78,11 +77,12 @@ type gateEntry struct {
 	// error message with the caller's config name.
 	infeasible bool
 	lo, hi     float64
-	// nonMonotone records a table that is not threshold-shaped; it
-	// cannot arise from the resistor network but the packed engine
-	// refuses to use such a table rather than trust it.
-	nonMonotone bool
-	energy      float64
+	// offSpec records a table that does not switch exactly at the spec's
+	// threshold. The shipped configurations bias every gate inside its
+	// spec's window, so none has one, but the engines would compute
+	// another function than the gate's from it, so Table refuses it.
+	offSpec bool
+	energy  float64
 }
 
 type configTables struct {
@@ -141,13 +141,12 @@ func deriveEntry(g GateKind, cfg *Config) gateEntry {
 	}
 	e := gateEntry{energy: gateEnergyUncached(g, cfg)}
 	tt := TruthTable{
-		Gate:       g,
-		Inputs:     spec.Inputs,
-		Preset:     spec.Preset,
-		Target:     spec.Dir.Target(),
-		MinSwitchP: spec.Inputs + 1,
-		Bias:       v,
-		Energy:     e.energy,
+		Gate:   g,
+		Inputs: spec.Inputs,
+		Preset: spec.Preset,
+		Target: spec.Dir.Target(),
+		Bias:   v,
+		Energy: e.energy,
 	}
 	inputs := make([]State, spec.Inputs)
 	for k := 0; k <= spec.Inputs; k++ {
@@ -159,66 +158,38 @@ func deriveEntry(g GateKind, cfg *Config) gateEntry {
 			}
 		}
 		// The exact ApplyPulse switching condition for a full pulse.
-		sw := DriveCurrent(g, cfg, v, inputs) >= cfg.P.SwitchCurrent
-		tt.SwitchAtP[k] = sw
-		if sw && tt.MinSwitchP > spec.Inputs {
-			tt.MinSwitchP = k
-		}
+		tt.SwitchAtP[k] = DriveCurrent(g, cfg, v, inputs) >= cfg.P.SwitchCurrent
 	}
-	for k := 0; k <= spec.Inputs; k++ {
-		if tt.SwitchAtP[k] != (k >= tt.MinSwitchP) {
-			e.nonMonotone = true
-		}
-	}
+	e.offSpec = !switchesAtSpec(spec, tt.SwitchAtP)
 	e.table = tt
 	return e
 }
 
-// SwitchWord evaluates the table's P-count threshold 64 lanes at a
-// time: bit i of each argument is one independent evaluation's input
-// (inputs beyond the gate's arity are ignored), and bit i of the result
-// reports whether that evaluation's output switches under a full pulse.
-// This is the single word-parallel form of the table's dispatch — the
-// packed column engine and the bit-sliced batch engine both implement
-// exactly these masks, and tests hold them to it lane by lane against
-// SwitchAtP.
-//
-// The complements count P (logic 0) inputs: with m = MinSwitchP, the
-// masks below are the threshold functions "at least m of the inputs are
-// P", specialized per arity.
+// switchesAtSpec reports whether a derived table switches exactly where
+// spec's threshold says: with k P inputs iff k >= MinP, for every k up
+// to Inputs.
+func switchesAtSpec(spec GateSpec, switchAtP [4]bool) bool {
+	for k := 0; k <= spec.Inputs; k++ {
+		if switchAtP[k] != (k >= spec.MinP) {
+			return false
+		}
+	}
+	return true
+}
+
+// SwitchWord evaluates the table's gate 64 lanes at a time through its
+// switch function (SwitchFn.Word): bit i of each argument is one
+// evaluation's input, and bit i of the result reports whether that
+// evaluation's output switches under a full pulse. Tests hold it lane by
+// lane to SwitchAtP.
 func (t *TruthTable) SwitchWord(a, b, c uint64) uint64 {
-	m := t.MinSwitchP
-	switch {
-	case m <= 0:
-		return ^uint64(0)
-	case m > t.Inputs:
-		return 0
-	}
-	switch t.Inputs {
-	case 1:
-		return ^a
-	case 2:
-		pa, pb := ^a, ^b
-		if m == 1 {
-			return pa | pb
-		}
-		return pa & pb
-	default: // 3
-		pa, pb, pc := ^a, ^b, ^c
-		switch m {
-		case 1:
-			return pa | pb | pc
-		case 2:
-			return pa&(pb|pc) | pb&pc
-		default:
-			return pa & pb & pc
-		}
-	}
+	return gateSpecs[t.Gate].Fn.Word(a, b, c)
 }
 
 // Table returns the memoized full-pulse truth table for gate g under
-// cfg. It fails exactly when Bias fails (an empty bias window makes the
-// gate unrealizable).
+// cfg. It fails when Bias fails (an empty bias window makes the gate
+// unrealizable) and when the table does not switch at the spec's
+// threshold.
 func Table(g GateKind, cfg *Config) (TruthTable, error) {
 	if !g.Valid() {
 		panic(fmt.Sprintf("mtj: invalid gate %d", uint8(g)))
@@ -227,8 +198,8 @@ func Table(g GateKind, cfg *Config) (TruthTable, error) {
 	if e.infeasible {
 		return TruthTable{}, infeasibleErr(g, cfg, e.lo, e.hi)
 	}
-	if e.nonMonotone {
-		return TruthTable{}, fmt.Errorf("mtj: gate %s under %s is not threshold-shaped", g, cfg.Name)
+	if e.offSpec {
+		return TruthTable{}, fmt.Errorf("mtj: gate %s under %s does not switch exactly when %d or more of its inputs are P", g, cfg.Name, Spec(g).MinP)
 	}
 	return e.table, nil
 }

@@ -5,7 +5,8 @@ import "testing"
 // TestTableMatchesThresholdSpec: the truth table derived from the
 // resistor network must coincide with the ideal threshold specification
 // for every gate and every shipped configuration — the same agreement
-// the functional array asserts cell by cell.
+// the functional array asserts cell by cell. Every spec's threshold lies
+// in 1..Inputs, so no gate is constant in its inputs.
 func TestTableMatchesThresholdSpec(t *testing.T) {
 	for _, cfg := range Configs() {
 		for g := GateKind(0); g.Valid(); g++ {
@@ -17,8 +18,8 @@ func TestTableMatchesThresholdSpec(t *testing.T) {
 			if tbl.Gate != g || tbl.Inputs != spec.Inputs || tbl.Preset != spec.Preset || tbl.Target != spec.Dir.Target() {
 				t.Errorf("%s/%s: header mismatch: %+v", cfg.Name, g, tbl)
 			}
-			if tbl.MinSwitchP != spec.MinP {
-				t.Errorf("%s/%s: network threshold %d, spec threshold %d", cfg.Name, g, tbl.MinSwitchP, spec.MinP)
+			if spec.MinP < 1 || spec.MinP > spec.Inputs {
+				t.Errorf("%s: threshold %d outside 1..%d", g, spec.MinP, spec.Inputs)
 			}
 			for k := 0; k <= spec.Inputs; k++ {
 				if tbl.SwitchAtP[k] != (k >= spec.MinP) {
@@ -121,7 +122,7 @@ func TestSwitchWordMatchesSwitchAtP(t *testing.T) {
 					if got := w>>lane&1 == 1; got != want {
 						t.Errorf("%s/%s pattern %b lane %d: SwitchWord %v, SwitchAtP[%d] %v", cfg.Name, g, v, lane, got, p, want)
 					}
-					if others := w &^ (1 << lane); others != 0 && tbl.MinSwitchP > 0 {
+					if others := w &^ (1 << lane); others != 0 {
 						t.Errorf("%s/%s pattern %b lane %d: leaked into lanes %#x", cfg.Name, g, v, lane, others)
 					}
 				}
@@ -151,10 +152,58 @@ func TestTableDrivesSameSwitchDecisionAsNetwork(t *testing.T) {
 					}
 				}
 				net := DriveCurrent(g, cfg, tbl.Bias, inputs) >= cfg.P.SwitchCurrent
-				if net != (p >= tbl.MinSwitchP) {
-					t.Errorf("%s/%s inputs %v: network switch %v, table %v", cfg.Name, g, inputs, net, p >= tbl.MinSwitchP)
+				if minP := Spec(g).MinP; net != (p >= minP) {
+					t.Errorf("%s/%s inputs %v: network switch %v, table %v", cfg.Name, g, inputs, net, p >= minP)
 				}
 			}
 		}
+	}
+}
+
+// TestSwitchesAtSpecRejectsOffSpecTables: the check deriveEntry applies
+// accepts exactly the table k >= MinP. A threshold shifted either way, a
+// non-monotone table, and the constant tables (no pattern switches,
+// every pattern does) all compute another function than the gate's.
+func TestSwitchesAtSpecRejectsOffSpecTables(t *testing.T) {
+	cases := []struct {
+		name string
+		gate GateKind
+		sw   [4]bool
+		ok   bool
+	}{
+		{"MAJ3 at spec", MAJ3, [4]bool{false, false, true, true}, true},
+		{"NAND2 at spec", NAND2, [4]bool{false, true, true}, true},
+		{"NOT at spec", NOT, [4]bool{false, true}, true},
+		{"MAJ3 threshold one lower", MAJ3, [4]bool{false, true, true, true}, false},
+		{"MAJ3 threshold one higher", MAJ3, [4]bool{false, false, false, true}, false},
+		{"NOR2 threshold one lower", NOR2, [4]bool{false, true, true}, false},
+		{"NAND2 threshold one higher", NAND2, [4]bool{false, false, true}, false},
+		{"OR3 non-monotone", OR3, [4]bool{false, true, false, true}, false},
+		{"MIN3 non-monotone", MIN3, [4]bool{true, false, true, true}, false},
+		{"AND2 never switches", AND2, [4]bool{}, false},
+		{"NOT never switches", NOT, [4]bool{}, false},
+		{"AND3 always switches", AND3, [4]bool{true, true, true, true}, false},
+		{"BUF always switches", BUF, [4]bool{true, true}, false},
+	}
+	for _, c := range cases {
+		if got := switchesAtSpec(Spec(c.gate), c.sw); got != c.ok {
+			t.Errorf("%s: switchesAtSpec(%v) = %v, want %v", c.name, c.sw, got, c.ok)
+		}
+	}
+}
+
+// TestTableRefusesOffSpecGate: Table returns an error, not a table, for
+// a gate deriveEntry marked off its spec, and still serves the others.
+// The marked entry lives under an electrical key no other test derives.
+func TestTableRefusesOffSpecGate(t *testing.T) {
+	cfg := *ModernSTT()
+	cfg.Name = "off-spec twin"
+	cfg.P.SwitchTime *= 3
+	tablesFor(&cfg).gates[MAJ3].offSpec = true
+	if _, err := Table(MAJ3, &cfg); err == nil {
+		t.Error("Table accepted a gate marked off its spec")
+	}
+	if _, err := Table(MIN3, &cfg); err != nil {
+		t.Errorf("Table refused an unmarked gate: %v", err)
 	}
 }

@@ -34,12 +34,10 @@ func gateWorks(g GateKind, cfg *Config, v, delta float64) bool {
 	}
 	// Strongest case that must not switch: MinP-1 inputs at P,
 	// resistances low.
-	if spec.MinP > 0 {
-		lo := scaled(1 - delta)
-		rHold := parallelR(lo, spec.Inputs, spec.MinP-1) + outputSeriesR(lo, spec.Preset)
-		if v/rHold >= ic {
-			return false
-		}
+	lo := scaled(1 - delta)
+	rHold := parallelR(lo, spec.Inputs, spec.MinP-1) + outputSeriesR(lo, spec.Preset)
+	if v/rHold >= ic {
+		return false
 	}
 	return true
 }

@@ -22,7 +22,8 @@ import (
 //
 // Fast/slow path selection: cycles that complete in full step through
 // the machine with no Partial, so logic operations take the packed
-// word-parallel truth-table engine (array.Tile.ExecLogicFull). Only a
+// word-parallel engine, which evaluates each gate's switch function
+// (array.Tile.ExecLogicFull). Only a
 // cycle that dies inside PhaseExecute carries a per-column pulse profile
 // (see phaseFor) and drops to the scalar resistor-network path, which
 // integrates the partial pulse cell by cell. The two paths are
