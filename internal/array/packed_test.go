@@ -297,7 +297,11 @@ func TestWriteRowRotWordShiftsMatchScalar(t *testing.T) {
 
 // TestExecLogicFullMatchesScalarAllGates exhaustively checks the packed
 // fast path against the scalar path for every gate, configuration, and
-// input pattern, on a width with a partial tail word.
+// input pattern, on a width with a partial tail word. Every third column
+// is active, and column c holds input pattern (c/3) mod 2^n, so pattern v
+// sits on active column 3v and on inactive column 3v+1: each pattern
+// is both computed and masked, and the patterns repeat across the word
+// boundary.
 func TestExecLogicFullMatchesScalarAllGates(t *testing.T) {
 	const cols = 70
 	for _, cfg := range mtj.Configs() {
@@ -313,8 +317,8 @@ func TestExecLogicFullMatchesScalarAllGates(t *testing.T) {
 			packed.SetActive(act)
 			scalar.SetActive(act)
 			inRows := []int{0, 2, 4}[:n]
-			for v := 0; v < 1<<n; v++ {
-				c := v % cols
+			for c := 0; c < cols; c++ {
+				v := c / 3 % (1 << n)
 				for i := 0; i < n; i++ {
 					packed.SetBit(inRows[i], c, v>>i&1)
 					scalar.SetBit(inRows[i], c, v>>i&1)

@@ -240,7 +240,7 @@ func Bias(g GateKind, cfg *Config) (float64, error) {
 // calls it exactly once per (gate, configuration).
 func biasUncached(g GateKind, cfg *Config) (float64, error) {
 	lo, hi := BiasWindow(g, cfg)
-	if hi <= lo {
+	if !(hi > lo) { // an empty window, or NaN parameters
 		return 0, infeasibleErr(g, cfg, lo, hi)
 	}
 	v := lo * biasOverdrive

@@ -1,6 +1,9 @@
 package mtj
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // State is the magnetic state of an MTJ free layer relative to its fixed
 // layer. The parallel state has low resistance and encodes logic 0; the
@@ -84,20 +87,24 @@ type Params struct {
 	SwitchCurrent float64
 }
 
-// Validate reports an error if the parameters are not physical.
+// Validate reports an error if the parameters are not physical. Every
+// check is written so that NaN fails it.
 func (p *Params) Validate() error {
 	switch {
-	case p.RP <= 0 || p.RAP <= 0:
-		return fmt.Errorf("mtj: %s: resistances must be positive (RP=%g, RAP=%g)", p.Name, p.RP, p.RAP)
-	case p.RAP <= p.RP:
+	case !positive(p.RP) || !positive(p.RAP):
+		return fmt.Errorf("mtj: %s: resistances must be positive and finite (RP=%g, RAP=%g)", p.Name, p.RP, p.RAP)
+	case !(p.RAP > p.RP):
 		return fmt.Errorf("mtj: %s: RAP (%g) must exceed RP (%g)", p.Name, p.RAP, p.RP)
-	case p.SwitchTime <= 0:
-		return fmt.Errorf("mtj: %s: switch time must be positive (%g)", p.Name, p.SwitchTime)
-	case p.SwitchCurrent <= 0:
-		return fmt.Errorf("mtj: %s: switch current must be positive (%g)", p.Name, p.SwitchCurrent)
+	case !positive(p.SwitchTime):
+		return fmt.Errorf("mtj: %s: switch time must be positive and finite (%g)", p.Name, p.SwitchTime)
+	case !positive(p.SwitchCurrent):
+		return fmt.Errorf("mtj: %s: switch current must be positive and finite (%g)", p.Name, p.SwitchCurrent)
 	}
 	return nil
 }
+
+// positive reports whether x is a positive finite number (false for NaN).
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Resistance returns the device resistance in state s, in ohms.
 func (p *Params) Resistance(s State) float64 {
@@ -189,13 +196,13 @@ func (c *Config) Validate() error {
 		return err
 	}
 	switch {
-	case c.Freq <= 0:
+	case !positive(c.Freq):
 		return fmt.Errorf("mtj: %s: frequency must be positive", c.Name)
-	case c.Cell == SHE && c.RChannel <= 0:
+	case c.Cell == SHE && !positive(c.RChannel):
 		return fmt.Errorf("mtj: %s: SHE cell requires positive channel resistance", c.Name)
-	case c.CapVMin <= 0 || c.CapVMax <= c.CapVMin:
+	case !positive(c.CapVMin) || !positive(c.CapVMax) || !(c.CapVMax > c.CapVMin):
 		return fmt.Errorf("mtj: %s: capacitor window [%g, %g] invalid", c.Name, c.CapVMin, c.CapVMax)
-	case c.CapC <= 0:
+	case !positive(c.CapC):
 		return fmt.Errorf("mtj: %s: capacitance must be positive", c.Name)
 	}
 	return nil

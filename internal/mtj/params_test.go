@@ -1,6 +1,9 @@
 package mtj
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestStateBits(t *testing.T) {
 	if P.Bit() != 0 || AP.Bit() != 1 {
@@ -91,6 +94,37 @@ func TestConfigValidate(t *testing.T) {
 	bad.CapC = 0
 	if err := bad.Validate(); err == nil {
 		t.Errorf("zero capacitance should not validate")
+	}
+}
+
+// TestNaNParamsRejected: a NaN parameter fails every ordered comparison,
+// so each check must be written to fail on it. Validate refuses the
+// configuration, Bias reports the gate infeasible, and GateEnergy is 0
+// rather than NaN.
+func TestNaNParamsRejected(t *testing.T) {
+	cfg := ModernSTT()
+	cfg.P.RP = math.NaN()
+	if err := cfg.P.Validate(); err == nil {
+		t.Error("Params.Validate accepts RP = NaN")
+	}
+	if err := cfg.Validate(); err == nil {
+		t.Error("Config.Validate accepts RP = NaN")
+	}
+	if v, err := Bias(NAND2, cfg); err == nil {
+		t.Errorf("Bias(NAND2) with RP = NaN = %g, want an error", v)
+	}
+	if e := GateEnergy(NAND2, cfg); e != 0 {
+		t.Errorf("GateEnergy(NAND2) with RP = NaN = %g, want 0", e)
+	}
+	inf := Modern()
+	inf.RAP = math.Inf(1)
+	if err := inf.Validate(); err == nil {
+		t.Error("Params.Validate accepts RAP = +Inf")
+	}
+	capNaN := ModernSTT()
+	capNaN.CapC = math.NaN()
+	if err := capNaN.Validate(); err == nil {
+		t.Error("Config.Validate accepts CapC = NaN")
 	}
 }
 

@@ -18,6 +18,14 @@
 // perturb simulation state — differential tests run workloads with and
 // without observers attached and require byte-identical outcomes.
 //
+// The trace layer's analytic segment engine (package sim) has no clock
+// and retires whole run-length runs of identical instructions, so it
+// serves only observers that implement BulkObserver: it reports each run
+// as one InstrRetiredN event and the outage events one by one, all with
+// T = 0. Stats implements BulkObserver and reaches the same totals, bit
+// for bit, as per-instruction events would give; TraceWriter, Multi and
+// every other observer keep a run on the per-instruction stepping path.
+//
 // The default observer is Nop, and runners gate every emission on
 // Enabled, so an unobserved (or Nop-observed) run pays one branch per
 // instruction and zero allocations — verified by benchmark.
@@ -102,6 +110,24 @@ func EmitFault(obs Observer, ev Fault) {
 	if f, ok := obs.(FaultObserver); ok {
 		f.FaultInjected(ev)
 	}
+}
+
+// BulkObserver is the optional extension an Observer implements to
+// receive a run of identical retired instructions as one event, which
+// lets sim.Runner keep an observed run on its analytic segment engine
+// instead of stepping it instruction by instruction.
+//
+// InstrRetiredN stands for n InstrRetired events of kind, each with the
+// given Energy, Backup and Dur, replays of them post-restart replays
+// (Replay set). Implementing it promises two things: the observer reads no
+// event timestamp (the engine has no clock to give), and each of its
+// accumulators sums independently of how events of different kinds
+// interleave (the engine reports a run's retirements at the run's end,
+// after the outage events inside it). Within one kind, events still
+// arrive in execution order.
+type BulkObserver interface {
+	Observer
+	InstrRetiredN(kind isa.Kind, n, replays uint64, energy, backup, dur float64)
 }
 
 // Observer receives the typed event stream of a simulation run.

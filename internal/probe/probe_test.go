@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -91,6 +92,29 @@ func TestStatsCounters(t *testing.T) {
 		if sec.TileWrites[i] != w {
 			t.Errorf("tile write %d: got %+v, want %+v", i, sec.TileWrites[i], w)
 		}
+	}
+}
+
+// TestStatsInstrRetiredN: one bulk event leaves the Section bit for bit
+// where the single events it stands for would, on top of sums that are
+// already non-zero, with the replays among them.
+func TestStatsInstrRetiredN(t *testing.T) {
+	seed := func(s *Stats) {
+		s.InstrRetired(Instr{Kind: isa.KindAct, Energy: 0.3, Backup: 1e-3, Dur: 3.3e-8})
+		s.InstrRetired(Instr{Kind: isa.KindLogic, Energy: 7e-9, Dur: 3.3e-8, Replay: true})
+	}
+	const n, replays = 100003, 7
+	var single, bulk Stats
+	seed(&single)
+	seed(&bulk)
+	ev := Instr{Kind: isa.KindLogic, Energy: 1.1e-11, Backup: 3.9e-13, Dur: 1 / 30.3e6}
+	for i := 0; i < n; i++ {
+		ev.Replay = i < replays
+		single.InstrRetired(ev)
+	}
+	bulk.InstrRetiredN(ev.Kind, n, replays, ev.Energy, ev.Backup, ev.Dur)
+	if a, b := bulk.Section(), single.Section(); !reflect.DeepEqual(a, b) {
+		t.Errorf("bulk event diverges from %d single events\nbulk:   %+v\nsingle: %+v", n, a, b)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"mouse/internal/fsum"
 	"mouse/internal/isa"
 )
 
@@ -37,6 +38,18 @@ func (f *AtomicFloat) Add(v float64) {
 	for {
 		old := f.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
+		if f.bits.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// AddN adds v n times, leaving exactly the bits n sequential Add(v)
+// calls would (fsum.AddN), in one compare-and-swap.
+func (f *AtomicFloat) AddN(v float64, n uint64) {
+	for {
+		old := f.bits.Load()
+		next := math.Float64bits(fsum.AddN(math.Float64frombits(old), v, n))
 		if f.bits.CompareAndSwap(old, next) {
 			return
 		}
@@ -109,16 +122,12 @@ type Stats struct {
 	voltInit atomic.Bool
 }
 
-var _ Observer = (*Stats)(nil)
+var _ BulkObserver = (*Stats)(nil)
 
 // InstrRetired implements Observer.
 func (s *Stats) InstrRetired(ev Instr) {
 	s.instructions.Add(1)
-	k := int(ev.Kind)
-	if k < 0 || k >= maxKinds {
-		k = maxKinds - 1
-	}
-	s.byKind[k].Add(1)
+	s.byKind[kindSlot(ev.Kind)].Add(1)
 	s.computeEnergy.Add(ev.Energy)
 	s.backupEnergy.Add(ev.Backup)
 	s.busySecs.Add(ev.Dur)
@@ -126,6 +135,32 @@ func (s *Stats) InstrRetired(ev Instr) {
 		s.replays.Add(1)
 		s.replayEnergy.Add(ev.Energy + ev.Backup)
 	}
+}
+
+// InstrRetiredN implements BulkObserver: n InstrRetired events folded
+// into one, each float field advanced by fsum.AddN so the totals keep
+// the bits the single events would leave. Stats qualifies because it
+// reads no timestamp and no field is written by two event kinds.
+func (s *Stats) InstrRetiredN(kind isa.Kind, n, replays uint64, energy, backup, dur float64) {
+	s.instructions.Add(n)
+	s.byKind[kindSlot(kind)].Add(n)
+	s.computeEnergy.AddN(energy, n)
+	s.backupEnergy.AddN(backup, n)
+	s.busySecs.AddN(dur, n)
+	if replays > 0 {
+		s.replays.Add(replays)
+		s.replayEnergy.AddN(energy+backup, replays)
+	}
+}
+
+// kindSlot is kind's index in the per-kind table; out-of-range kinds
+// share the last slot.
+func kindSlot(kind isa.Kind) int {
+	k := int(kind)
+	if k < 0 || k >= maxKinds {
+		k = maxKinds - 1
+	}
+	return k
 }
 
 // PulseInterrupted implements Observer.

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"mouse/internal/energy"
+	"mouse/internal/fsum"
 	"mouse/internal/isa"
 	"mouse/internal/power"
 	"mouse/internal/probe"
@@ -43,9 +44,16 @@ import (
 //   - When the buffer is pinned at VMax (the run's draw never exceeds
 //     the VMax budget and the post-draw clamp writes back exactly
 //     VMax), the voltage is stationary and the per-op sqrt/divide chain
-//     is skipped outright; only the Breakdown adds remain, because
-//     float sums are not associative and each op's add must happen
-//     individually.
+//     is skipped outright; the tail's Breakdown adds fold with
+//     fsum.AddN, which leaves the bits the per-op adds would.
+//   - An observer rides along only if it is a probe.BulkObserver: a
+//     run's retirements share one (kind, energy, backup, duration), so
+//     the engine reports each run once, at its end, as InstrRetiredN,
+//     and emits the outage events (interrupt, recharges, restore) as
+//     stepping does. A cached window logs its outage events' values in
+//     the lane's flat evs slice and re-emits them whenever it is
+//     chained. Events carry no timestamp (T is 0): the engine keeps no
+//     clock.
 //
 // The engine is written as a resumable per-lane state machine (segLane)
 // rather than nested loops so that RunSweep can interleave several
@@ -85,6 +93,11 @@ type segWindow struct {
 	exitV     float64
 	exitCols  int
 	exitLevel int
+
+	// ev0:ev1 is the window's outage event log in segLane.evs (observed
+	// lanes only): the interrupted fraction, each recharge's off time,
+	// then the restore's energy and duration.
+	ev0, ev1 int
 }
 
 // segLane is one constant-power execution in flight: a Runner's full
@@ -94,9 +107,10 @@ type segWindow struct {
 type segLane struct {
 	idx int // position in the caller's harvester slice (RunSweep)
 
-	r *Runner
-	h *power.Harvester
-	p power.ConstantPlan
+	r   *Runner
+	h   *power.Harvester
+	p   power.ConstantPlan
+	obs probe.BulkObserver // nil when unobserved
 
 	costs *energy.RunCosts
 
@@ -123,6 +137,7 @@ type segLane struct {
 	v           float64
 	cols, level int
 	replays     uint64
+	runReplays0 uint64 // replays at the current run's entry
 
 	// Window-local accounting, exactly as in the stepping Run: acc
 	// flushes into b at window close, error, and stream end.
@@ -139,19 +154,26 @@ type segLane struct {
 	wRetired   int64
 	wReplays   uint64
 
+	// evs holds the outage event logs of cached windows, back to back,
+	// and at its end the log of the window closing now, from wEv.
+	evs []float64
+	wEv int
+
 	res  Result
 	err  error
 	done bool
 }
 
-// newSegLane validates the harvester and performs the initial charge.
-// The lane may come back already done (charge error). The caller
-// precosts the stream once — sweeps share the arrays across lanes.
+// newSegLane performs the initial charge of a harvester segmentPlan
+// admitted. The lane may come back already done (charge error). The
+// caller precosts the stream once — sweeps share the arrays across
+// lanes.
 func newSegLane(r *Runner, h *power.Harvester, p power.ConstantPlan, costs *energy.RunCosts) *segLane {
 	dt := r.Model.CycleTime()
 	harvest := p.W * dt
+	obs, _ := r.Obs.(probe.BulkObserver)
 	ls := &segLane{
-		r: r, h: h, p: p, costs: costs,
+		r: r, h: h, p: p, obs: obs, costs: costs,
 		dt: dt, harvest: harvest,
 		window:      p.WindowJ,
 		budgetVMax:  power.EnergyAboveOf(p.C, p.VMax, p.VOff) + harvest,
@@ -161,6 +183,9 @@ func newSegLane(r *Runner, h *power.Harvester, p power.ConstantPlan, costs *ener
 	}
 
 	// Initial charge from an empty (or partial) buffer.
+	if obs != nil {
+		obs.OutageBegin(0)
+	}
 	offDt, charged, cerr := p.ChargeTime(power.EnergyOf(p.C, ls.v), r.MaxChargeWait)
 	if cerr != nil {
 		ls.finish(cerr, false)
@@ -170,6 +195,9 @@ func newSegLane(r *Runner, h *power.Harvester, p power.ConstantPlan, costs *ener
 		ls.v = p.VOn
 	}
 	ls.b.OffLatency += offDt
+	if obs != nil {
+		obs.OutageEnd(0, offDt)
+	}
 
 	if len(costs.Runs) == 0 {
 		ls.finish(nil, true)
@@ -198,6 +226,16 @@ func (ls *segLane) enterRun() {
 	ls.pinned = (ls.e <= ls.budgetVMax || ls.e <= 0) &&
 		power.VoltageAfterAdd(ls.p.C, ls.p.VMax, ls.harvest-ls.e) >= ls.p.VMax
 	ls.used = 0
+	ls.runReplays0 = ls.replays
+}
+
+// emitRun reports the current run's first n retirements, replays
+// included, to the observer.
+func (ls *segLane) emitRun(n int64) {
+	if ls.obs == nil {
+		return
+	}
+	ls.obs.InstrRetiredN(ls.costs.Runs[ls.ri].Op.Kind, uint64(n), ls.replays-ls.runReplays0, ls.ec, ls.bk, ls.dt)
 }
 
 // flush folds the open window's accrual into the run total.
@@ -228,16 +266,13 @@ func (ls *segLane) step() bool {
 	}
 
 	// Bulk-commit a pinned tail: the voltage, columns, and level are all
-	// stationary past the run's first retired op, so the only per-op
-	// work bit-identity still requires is the Breakdown accumulation
-	// itself (the sqrt/divide voltage chain is gone).
+	// stationary past the run's first retired op, so the tail is rem
+	// identical Breakdown adds, which fsum.AddN folds bit-exactly.
 	if ls.pinned && ls.used > 0 && ls.v == ls.p.VMax {
 		rem := ls.count - ls.used
-		for j := int64(0); j < rem; j++ {
-			ls.acc.ComputeEnergy += ls.ec
-			ls.acc.BackupEnergy += ls.bk
-			ls.acc.OnLatency += ls.dt
-		}
+		ls.acc.ComputeEnergy = fsum.AddN(ls.acc.ComputeEnergy, ls.ec, uint64(rem))
+		ls.acc.BackupEnergy = fsum.AddN(ls.acc.BackupEnergy, ls.bk, uint64(rem))
+		ls.acc.OnLatency = fsum.AddN(ls.acc.OnLatency, ls.dt, uint64(rem))
 		ls.acc.Instructions += uint64(rem)
 		ls.wRetired += rem
 		return ls.advanceRun()
@@ -311,6 +346,11 @@ func (ls *segLane) stepOutage() bool {
 		if ls.isAct && frac >= actRegCommitFrac {
 			ls.cols = ls.actCols
 		}
+		if ls.obs != nil {
+			ls.emitInterrupt(frac)
+			ls.wEv = len(ls.evs)
+			ls.evs = append(ls.evs, frac)
+		}
 
 		// The stepping path's non-termination test at k = 1: the
 		// restore plus this instruction, net of harvest, against the
@@ -321,7 +361,7 @@ func (ls *segLane) stepOutage() bool {
 			ls.restoreCost[ls.cols] = rc
 		}
 		if need := drain(rc, ls.harvest) + drain(ls.e, ls.harvest); need > ls.window {
-			ls.finish(nonTermination(need, ls.window), false)
+			ls.fail(nonTermination(need, ls.window))
 			return false
 		}
 
@@ -332,6 +372,7 @@ func (ls *segLane) stepOutage() bool {
 
 		// r.restore, inlined: pay the re-activation cost, recharging
 		// through any further outages.
+		var spentE, spentT float64
 		for {
 			budget := power.EnergyAboveOf(ls.p.C, ls.v, ls.p.VOff) + ls.harvest
 			var rfrac float64
@@ -349,6 +390,8 @@ func (ls *segLane) stepOutage() bool {
 			ls.acc.RestoreEnergy += rc * rfrac
 			ls.acc.RestoreLatency += ls.dt * rfrac
 			ls.acc.OnLatency += ls.dt * rfrac
+			spentE += rc * rfrac
+			spentT += ls.dt * rfrac
 			if rfrac >= 1 {
 				break
 			}
@@ -359,11 +402,18 @@ func (ls *segLane) stepOutage() bool {
 
 		// Restore complete: the window closes here. Record it if it
 		// opened post-restore and stayed inside this run.
+		if ls.obs != nil {
+			ls.obs.Restored(probe.Restore{Dur: spentT, Cols: ls.cols, Energy: spentE})
+			ls.evs = append(ls.evs, spentE, spentT)
+		}
 		if ls.recordable && ls.wKey.ri == ls.ri {
 			ls.cache[ls.wKey] = segWindow{
 				retired: ls.wRetired, sum: ls.acc, replays: ls.wReplays,
 				exitV: ls.v, exitCols: ls.cols, exitLevel: ls.level,
+				ev0: ls.wEv, ev1: len(ls.evs),
 			}
+		} else {
+			ls.evs = ls.evs[:ls.wEv]
 		}
 		ls.flush()
 
@@ -380,6 +430,9 @@ func (ls *segLane) stepOutage() bool {
 			ls.replays += w.replays
 			ls.v, ls.cols, ls.level = w.exitV, w.exitCols, w.exitLevel
 			ls.used += w.retired
+			if ls.obs != nil {
+				ls.emitWindow(w)
+			}
 		}
 
 		// The next window opens here, replay pending.
@@ -410,20 +463,55 @@ func (ls *segLane) commitAdvance() bool {
 // recharge is the closed-form h.ChargeUntilOn; it reports false after
 // finishing the lane on a charge error.
 func (ls *segLane) recharge() bool {
+	if ls.obs != nil {
+		ls.obs.OutageBegin(0)
+	}
 	offDt, charged, cerr := ls.p.ChargeTime(power.EnergyOf(ls.p.C, ls.v), ls.r.MaxChargeWait)
 	if cerr != nil {
-		ls.finish(cerr, false)
+		ls.fail(cerr)
 		return false
 	}
 	if charged {
 		ls.v = ls.p.VOn
 	}
 	ls.acc.OffLatency += offDt
+	if ls.obs != nil {
+		ls.obs.OutageEnd(0, offDt)
+		ls.evs = append(ls.evs, offDt)
+	}
 	return true
+}
+
+// emitInterrupt reports an outage cutting the pending instruction at
+// frac, with the partial energy stepping accounts as lost.
+func (ls *segLane) emitInterrupt(frac float64) {
+	ls.obs.PulseInterrupted(probe.Interrupt{
+		Frac: frac, Kind: ls.costs.Runs[ls.ri].Op.Kind, Lost: ls.e * frac,
+	})
+}
+
+// emitWindow re-emits a chained window's outage events from its log:
+// the interrupt, one outage per recharge, and the restore.
+func (ls *segLane) emitWindow(w segWindow) {
+	ev := ls.evs[w.ev0:w.ev1]
+	ls.emitInterrupt(ev[0])
+	for _, off := range ev[1 : len(ev)-2] {
+		ls.obs.OutageBegin(0)
+		ls.obs.OutageEnd(0, off)
+	}
+	ls.obs.Restored(probe.Restore{Dur: ev[len(ev)-1], Cols: w.exitCols, Energy: ev[len(ev)-2]})
+}
+
+// fail reports the current run's retirements so far and finishes the
+// lane with err.
+func (ls *segLane) fail(err error) {
+	ls.emitRun(ls.used)
+	ls.finish(err, false)
 }
 
 // advanceRun moves to the next run, finishing the lane at stream end.
 func (ls *segLane) advanceRun() bool {
+	ls.emitRun(ls.count)
 	ls.ri++
 	if ls.ri >= len(ls.costs.Runs) {
 		ls.finish(nil, true)
@@ -433,18 +521,13 @@ func (ls *segLane) advanceRun() bool {
 	return true
 }
 
-// runSegments is Run's analytic fast path. Eligibility (checked by the
-// caller): the stream is a RunStream, the source is constant with a
-// valid plan, no observer is attached, no voltage sampling, and
-// ForceStepping is off.
+// runSegments is Run's analytic fast path, for the runs segmentPlan
+// admits.
 func (r *Runner) runSegments(s RunStream, h *power.Harvester, p power.ConstantPlan) (Result, error) {
 	// Parity with the stepping path's entry/exit stream contract: start
 	// from the beginning. The engine reads Runs() instead of Next(), so
 	// the stream stays rewound rather than exhausted.
 	s.Reset()
-	if err := h.Validate(); err != nil {
-		return Result{}, err
-	}
 	ls := newSegLane(r, h, p, energy.PrecostRuns(r.Model, s.Runs()))
 	for ls.step() {
 	}
@@ -456,32 +539,30 @@ func (r *Runner) runSegments(s RunStream, h *power.Harvester, p power.ConstantPl
 // and errors, each bit-identical to the corresponding r.Run(s, hs[i])
 // call in isolation.
 //
-// Lanes that qualify for the segment engine (RunStream, constant
-// source, no observer or sampling, ForceStepping off) share one
-// precosting pass and advance round-robin, one retired instruction per
-// turn, so their serial sqrt/divide voltage chains overlap in the
-// out-of-order core: the sweep folds at divider-throughput instead of
-// chain-latency. Everything else falls back to sequential r.Run calls
-// with unchanged semantics.
+// Unobserved lanes that qualify for the segment engine (RunStream and
+// segmentPlan) share one precosting pass and advance round-robin, one
+// retired instruction per turn, so their serial sqrt/divide voltage
+// chains overlap in the out-of-order core: the sweep folds at
+// divider-throughput instead of chain-latency. Everything else runs as
+// sequential r.Run calls with unchanged semantics; an observed sweep
+// thus still takes the segment engine for a probe.BulkObserver, one
+// lane after another, so a shared observer sees each lane's events in
+// the order an isolated run emits them.
 func (r *Runner) RunSweep(s OpStream, hs []*power.Harvester) ([]Result, []error) {
 	results := make([]Result, len(hs))
 	errs := make([]error, len(hs))
 
 	var lanes []*segLane
 	var rest []int
-	rs, streamOK := s.(RunStream)
-	eligible := streamOK && !r.ForceStepping && !probe.Enabled(r.Obs)
+	rs, isRuns := s.(RunStream)
+	interleave := isRuns && !probe.Enabled(r.Obs)
 	var costs *energy.RunCosts
-	if eligible {
-		rs.Reset()
-		costs = energy.PrecostRuns(r.Model, rs.Runs())
-	}
 	for i, h := range hs {
-		if eligible && h != nil && !h.SamplingEnabled() {
-			if plan, ok := h.Plan(); ok {
-				if err := h.Validate(); err != nil {
-					errs[i] = err
-					continue
+		if interleave {
+			if plan, ok := r.segmentPlan(h); ok {
+				if costs == nil {
+					rs.Reset()
+					costs = energy.PrecostRuns(r.Model, rs.Runs())
 				}
 				ls := newSegLane(r, h, plan, costs)
 				ls.idx = i

@@ -8,12 +8,14 @@ package sim_test
 // sim_test because workload imports sim.
 
 import (
+	"reflect"
 	"testing"
 
 	"mouse/internal/bench"
 	"mouse/internal/energy"
 	"mouse/internal/mtj"
 	"mouse/internal/power"
+	"mouse/internal/probe"
 	"mouse/internal/sim"
 	"mouse/internal/workload"
 )
@@ -51,6 +53,72 @@ func TestSegmentMatchesSteppingGrid(t *testing.T) {
 						cfg.Name, spec.Name, watts, segRes, stepRes)
 				}
 			}
+		}
+	}
+}
+
+// TestSegmentStatsMatchSteppingGrid is the telemetry counterpart of
+// TestSegmentMatchesSteppingGrid: on every grid point, a fresh
+// probe.Stats observing the default path (the segment engine, through
+// Stats' bulk events) and one observing ForceStepping must give
+// deep-equal Sections, floats included, next to == Results. Then one
+// Stats shared by a whole bench.ComputeFig9 grid per configuration
+// must match stepping's, which has the run-length adds land on sums
+// that are already non-zero. probe.Multi is not a bulk observer, so
+// wrapping the shared Stats in it makes ComputeFig9 step.
+func TestSegmentStatsMatchSteppingGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full paper grid; skipped with -short")
+	}
+	if raceEnabled {
+		// Every run here is sequential on the test goroutine, so the
+		// detector has nothing to find, and it stretches the stepped
+		// Stats runs from seconds to minutes.
+		t.Skip("sequential full paper grid; skipped under -race")
+	}
+	for _, cfg := range mtj.Configs() {
+		model := energy.NewModel(cfg)
+		for _, spec := range workload.Benchmarks() {
+			for _, watts := range bench.Powers() {
+				mk := func() *power.Harvester {
+					return power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
+				}
+				segStats, stepStats := &probe.Stats{}, &probe.Stats{}
+
+				seg := sim.NewRunner(model)
+				seg.Obs = segStats
+				segRes, segErr := seg.Run(spec.Stream(), mk())
+
+				step := sim.NewRunner(model)
+				step.Obs = stepStats
+				step.ForceStepping = true
+				stepRes, stepErr := step.Run(spec.Stream(), mk())
+
+				if segErr != nil || stepErr != nil {
+					t.Fatalf("%s / %s / %.3g W: segment=%v stepping=%v", cfg.Name, spec.Name, watts, segErr, stepErr)
+				}
+				if segRes != stepRes {
+					t.Errorf("%s / %s / %.3g W: observed segment result diverges\nsegment:  %+v\nstepping: %+v",
+						cfg.Name, spec.Name, watts, segRes, stepRes)
+				}
+				if a, b := segStats.Section(), stepStats.Section(); !reflect.DeepEqual(a, b) {
+					t.Errorf("%s / %s / %.3g W: telemetry diverges\nsegment:  %+v\nstepping: %+v",
+						cfg.Name, spec.Name, watts, a, b)
+				}
+			}
+		}
+
+		segStats, stepStats := &probe.Stats{}, &probe.Stats{}
+		segPts, segErr := bench.ComputeFig9(cfg, bench.Powers(), 1, segStats)
+		stepPts, stepErr := bench.ComputeFig9(cfg, bench.Powers(), 1, probe.Multi{stepStats})
+		if segErr != nil || stepErr != nil {
+			t.Fatalf("%s: ComputeFig9: segment=%v stepping=%v", cfg.Name, segErr, stepErr)
+		}
+		if !reflect.DeepEqual(segPts, stepPts) {
+			t.Errorf("%s: ComputeFig9 points diverge between engines", cfg.Name)
+		}
+		if a, b := segStats.Section(), stepStats.Section(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: shared Fig. 9 telemetry diverges\nsegment:  %+v\nstepping: %+v", cfg.Name, a, b)
 		}
 	}
 }

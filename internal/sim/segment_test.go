@@ -2,8 +2,10 @@ package sim
 
 import (
 	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -50,10 +52,30 @@ func requireIdentical(t *testing.T, label string, seg, step Result, segErr, step
 	}
 }
 
+// requireSameTelemetry reruns ops on both engines, each under a fresh
+// probe.Stats, and requires identical Results and deep-equal Stats
+// sections, floats included: the segment engine's bulk events must add
+// up to exactly what stepping reports instruction by instruction.
+func requireSameTelemetry(t *testing.T, label string, r *Runner, ops []energy.Op, mk func() *power.Harvester) {
+	t.Helper()
+	segStats, stepStats := &probe.Stats{}, &probe.Stats{}
+	seg := *r
+	seg.Obs = segStats
+	step := seg
+	step.Obs = stepStats
+	step.ForceStepping = true
+	segRes, segErr := seg.Run(&SliceStream{Ops: ops}, mk())
+	stepRes, stepErr := step.Run(&SliceStream{Ops: ops}, mk())
+	requireIdentical(t, label+" (observed)", segRes, stepRes, segErr, stepErr)
+	if a, b := segStats.Section(), stepStats.Section(); !reflect.DeepEqual(a, b) {
+		t.Errorf("%s: segment telemetry diverges from stepping\nsegment:  %+v\nstepping: %+v", label, a, b)
+	}
+}
+
 // TestSegmentPathSelection verifies the automatic fast/slow split:
-// constant power with no observation takes the segment engine; traces,
-// observers, voltage sampling, and ForceStepping all keep the stepping
-// path.
+// constant power with no observer, or with a bulk observer such as
+// probe.Stats, takes the segment engine; traces, other observers,
+// voltage sampling, and ForceStepping all keep the stepping path.
 func TestSegmentPathSelection(t *testing.T) {
 	cfg := mtj.ModernSTT()
 	ops := randomOps(rand.New(rand.NewSource(3)), 300)
@@ -83,8 +105,14 @@ func TestSegmentPathSelection(t *testing.T) {
 
 	observed := NewRunner(energy.NewModel(cfg))
 	observed.Obs = &probe.Stats{}
-	if s := run(t, observed, mkConst()); s.runs != 0 || s.nexts == 0 {
-		t.Errorf("attached observer: nexts=%d runs=%d, want stepping path", s.nexts, s.runs)
+	if s := run(t, observed, mkConst()); s.runs == 0 || s.nexts != 0 {
+		t.Errorf("Stats observer: nexts=%d runs=%d, want segment path", s.nexts, s.runs)
+	}
+
+	traced := NewRunner(energy.NewModel(cfg))
+	traced.Obs = probe.Multi{&probe.Stats{}, probe.NewTraceWriter(io.Discard)}
+	if s := run(t, traced, mkConst()); s.runs != 0 || s.nexts == 0 {
+		t.Errorf("Stats plus trace writer: nexts=%d runs=%d, want stepping path", s.nexts, s.runs)
 	}
 
 	sampled := mkConst()
@@ -202,6 +230,7 @@ func TestSegmentNonTerminationParity(t *testing.T) {
 		if seg.Completed {
 			t.Errorf("%s: aborted run marked completed", c.name)
 		}
+		withDeadline(t, 10*time.Second, func() { requireSameTelemetry(t, c.name, r, c.ops, c.mk) })
 	}
 }
 
@@ -224,6 +253,7 @@ func TestSegmentChargeWaitParity(t *testing.T) {
 		t.Fatal("charge beyond MaxChargeWait did not fail")
 	}
 	requireIdentical(t, "initial charge", seg, step, segErr, stepErr)
+	requireSameTelemetry(t, "initial charge", r, ops, mk)
 
 	// A dead source cannot charge at all.
 	r.MaxChargeWait = 24 * 3600
@@ -236,6 +266,25 @@ func TestSegmentChargeWaitParity(t *testing.T) {
 		t.Fatal("dead source did not fail")
 	}
 	requireIdentical(t, "dead source", seg, step, segErr, stepErr)
+	requireSameTelemetry(t, "dead source", r, ops, mkDead)
+
+	// A mid-run recharge beyond the wait budget: the buffer starts full,
+	// so the first outage cuts a run of identical NANDs part way.
+	r.MaxChargeWait = 1e-3
+	mkFull := func() *power.Harvester {
+		h := mk()
+		h.Cap.SetVoltage(cfg.CapVMax)
+		return h
+	}
+	nands := nandStream(5000).Ops
+	seg, segErr = r.Run(&SliceStream{Ops: nands}, mkFull())
+	step, stepErr = steppingResult(t, r, nands, mkFull)
+	if segErr == nil || seg.Instructions < 2 {
+		t.Fatalf("mid-run recharge: error %v after %d instructions, want a charge error inside the NAND run", segErr, seg.Instructions)
+	}
+	requireIdentical(t, "mid-run recharge", seg, step, segErr, stepErr)
+	requireSameTelemetry(t, "mid-run recharge", r, nands, mkFull)
+	r.MaxChargeWait = 24 * 3600
 
 	// Invalid harvester configurations must fail identically too.
 	mkBad := func() *power.Harvester {
@@ -247,6 +296,7 @@ func TestSegmentChargeWaitParity(t *testing.T) {
 		t.Fatalf("invalid harvester did not fail typed: %v", segErr)
 	}
 	requireIdentical(t, "invalid harvester", seg, step, segErr, stepErr)
+	requireSameTelemetry(t, "invalid harvester", r, randomOps(rand.New(rand.NewSource(6)), 50), mkBad)
 }
 
 // TestSegmentEmptyStream: a stream with no operations still pays the
@@ -302,7 +352,8 @@ func TestSegmentPropertyInvariants(t *testing.T) {
 
 // FuzzSegmentVsStepping derives an op stream and a constant-power
 // harvester from the fuzz inputs and requires the two engines to agree
-// byte for byte — Result structs equal under ==, error texts identical.
+// byte for byte — Result structs equal under ==, error texts identical,
+// and, rerun under a probe.Stats observer each, deep-equal sections.
 func FuzzSegmentVsStepping(f *testing.F) {
 	f.Add(int64(1), uint16(300), 60.0, uint8(0))
 	f.Add(int64(2), uint16(40), 5000.0, uint8(1))
@@ -324,6 +375,7 @@ func FuzzSegmentVsStepping(f *testing.F) {
 		seg, segErr := r.Run(&SliceStream{Ops: ops}, mk())
 		step, stepErr := steppingResult(t, r, ops, mk)
 		requireIdentical(t, "fuzz", seg, step, segErr, stepErr)
+		requireSameTelemetry(t, "fuzz", r, ops, mk)
 	})
 }
 

@@ -16,8 +16,9 @@
 //     analytic R simulator. RunWithCheckpointInterval is the §IV-D
 //     ablation, where an outage re-performs every instruction since the
 //     last checkpoint. The analytic segment engine (segment.go) is Run's
-//     bit-identical fast path for constant sources, with the stepping
-//     loop as its oracle.
+//     bit-identical fast path for constant sources, unobserved or
+//     observed by a probe.BulkObserver such as probe.Stats, with the
+//     stepping loop as its oracle.
 //   - The functional layer (MachineRunner) drives a real
 //     controller.Controller over a bit-accurate array.Machine through
 //     the same loop, injecting outages at the exact µ-phase the energy
@@ -140,7 +141,11 @@ type Runner struct {
 
 	// Obs receives the run's event stream. Nil or probe.Nop disables
 	// emission at the cost of one branch per instruction; observers must
-	// never influence accounting.
+	// never influence accounting. An observer that is a
+	// probe.BulkObserver (probe.Stats is) keeps Run on the segment
+	// engine, which reports each run-length run of identical
+	// instructions as one InstrRetiredN event; any other observer makes
+	// Run step instruction by instruction.
 	Obs probe.Observer
 
 	// ForceStepping pins Run to the per-instruction stepping path even
@@ -180,20 +185,36 @@ func (r *Runner) RunContinuous(s OpStream) Result {
 // columns that must be re-latched. A nil h is continuous power, as in
 // RunContinuous.
 //
-// When the stream can describe itself as runs (RunStream), the source
-// is constant, and no observer or voltage sampling is attached, Run
-// dispatches to the analytic segment engine (segment.go), which
-// produces a bit-identical Result without stepping the harvester.
-// Trace/solar sources, attached observers, and ForceStepping keep the
-// per-instruction path.
+// When the stream can describe itself as runs (RunStream) and
+// segmentPlan admits the runner and harvester (a valid constant source,
+// no voltage sampling, no observer or a probe.BulkObserver, ForceStepping
+// off), Run dispatches to the analytic segment engine (segment.go),
+// which produces a bit-identical Result without stepping the harvester
+// and, for a bulk observer, the event totals stepping would report.
+// Trace/solar sources, other observers, sampling and ForceStepping keep
+// the per-instruction path.
 func (r *Runner) Run(s OpStream, h *power.Harvester) (Result, error) {
-	if rs, ok := s.(RunStream); ok && !r.ForceStepping && h != nil &&
-		!probe.Enabled(r.Obs) && !h.SamplingEnabled() {
-		if plan, ok := h.Plan(); ok {
+	if rs, ok := s.(RunStream); ok {
+		if plan, ok := r.segmentPlan(h); ok {
 			return r.runSegments(rs, h, plan)
 		}
 	}
 	return r.stepStream(s, h, 1)
+}
+
+// segmentPlan reports whether a run of a RunStream under h may take the
+// segment engine, with h's closed-form plan if so: ForceStepping is
+// off, the observer is absent or a probe.BulkObserver, and h is a valid
+// constant source without voltage sampling. An invalid harvester steps,
+// which reports its error together with the initial outage event.
+func (r *Runner) segmentPlan(h *power.Harvester) (power.ConstantPlan, bool) {
+	if r.ForceStepping || h == nil || h.SamplingEnabled() || h.Validate() != nil {
+		return power.ConstantPlan{}, false
+	}
+	if _, bulk := r.Obs.(probe.BulkObserver); probe.Enabled(r.Obs) && !bulk {
+		return power.ConstantPlan{}, false
+	}
+	return h.Plan()
 }
 
 // RunWithCheckpointInterval executes the stream under harvester h, but
