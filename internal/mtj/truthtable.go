@@ -132,6 +132,9 @@ func tablesFor(cfg *Config) *configTables {
 func deriveEntry(g GateKind, cfg *Config) gateEntry {
 	spec := Spec(g)
 	lo, hi := BiasWindow(g, cfg)
+	if !(hi > lo) { // infeasible: skip biasUncached's error text, dropped here
+		return gateEntry{infeasible: true, lo: lo, hi: hi}
+	}
 	v, err := biasUncached(g, cfg)
 	if err != nil {
 		return gateEntry{infeasible: true, lo: lo, hi: hi}
