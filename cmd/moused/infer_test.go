@@ -52,7 +52,6 @@ func TestInferMatchesOfflineBatch(t *testing.T) {
 	cfg.Devices = 2
 	cfg.Mode = fleet.Harvested
 	cfg.HarvestW = 0.5 // µs-scale stalls: exercise the outage path, keep the test fast
-	cfg.EnergyPerSampleJ = 1e-6
 	cfg.BatchLinger = 200 * time.Microsecond
 	s, err := newServer(cfg)
 	if err != nil {
@@ -238,8 +237,7 @@ func TestInferBackpressure429(t *testing.T) {
 	cfg.QueueDepth = 1
 	cfg.BatchLinger = 0
 	cfg.Mode = fleet.Harvested
-	cfg.HarvestW = 1e-9      // effectively never recharges
-	cfg.EnergyPerSampleJ = 1 // first batch stalls its device forever
+	cfg.HarvestW = 1e-9 // a 660 s recharge per 0.66 µJ window
 	cfg.Workloads = []string{"bnn-hidden16"}
 	s, err := newServer(cfg)
 	if err != nil {
@@ -253,6 +251,8 @@ func TestInferBackpressure429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two 0.33 µJ passes drain the 0.66 µJ window, so the third request
+	// stalls the device for a 660 s recharge.
 	sample := hb.Samples(1)
 	body, err := json.Marshal(inferRequest{Workload: "bnn-hidden16", Samples: sample})
 	if err != nil {

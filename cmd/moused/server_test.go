@@ -19,9 +19,9 @@ import (
 )
 
 // testFleetConfig is a small harvested inference fleet without a
-// batching deadline. Its default 2 µJ per sample exceeds the 0.66 µJ
-// ModernSTT capacitor window, so every batch stalls its device for a
-// few milliseconds of recharge and records an outage.
+// batching deadline. A 4-sample svm-adult batch costs four 0.50 µJ
+// passes, three 0.66 µJ ModernSTT windows' worth, so it stalls its
+// device for microseconds of recharge and records outages.
 func testFleetConfig() fleet.Config {
 	cfg := fleet.DefaultConfig()
 	cfg.Devices = 2

@@ -40,8 +40,10 @@ type FleetRow struct {
 }
 
 // The fixed load shape: small enough to finish in well under a second
-// per combination, deep enough that batching and (in harvested mode)
-// recharge stalls are actually exercised.
+// per combination, deep enough that batching is exercised. In harvested
+// mode an 8-sample svm-adult request costs eight 0.50 µJ passes, six
+// recharges of a full 0.66 µJ window; up to 64 bnn-hidden16 samples
+// cost one 0.33 µJ pass.
 const (
 	fleetBenchDevices  = 2
 	fleetBenchRequests = 24
@@ -49,7 +51,6 @@ const (
 	fleetBenchQueue    = 32 // > fleetBenchRequests: no deterministic-run rejections
 	fleetBenchLinger   = 200 * time.Microsecond
 	fleetBenchHarvestW = 0.05
-	fleetBenchSampleJ  = 1e-6
 )
 
 // ComputeFleet serves every hot workload under both power modes, one
@@ -86,7 +87,6 @@ func computeFleetRow(hb workload.HotBatch, mode fleet.PowerMode) (FleetRow, erro
 	cfg.BatchLinger = fleetBenchLinger
 	cfg.Mode = mode
 	cfg.HarvestW = fleetBenchHarvestW
-	cfg.EnergyPerSampleJ = fleetBenchSampleJ
 	cfg.Workloads = []string{hb.Name}
 	f, err := fleet.New(cfg)
 	if err != nil {

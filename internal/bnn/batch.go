@@ -21,7 +21,8 @@ import (
 // per-instruction validation.
 //
 // Like the SVM batch engine this is the continuous-power fast path
-// only; intermittent execution keeps the scalar controller path.
+// only; energy accounting goes through sim.RunnerBatch, and
+// intermittent execution through the scalar controller path.
 type BatchEngine struct {
 	m    *Mapping
 	net  *Network

@@ -10,15 +10,15 @@ import (
 )
 
 // Batched-inference coverage: the bit-sliced engine only runs on
-// continuous power (interrupted pulses fall back to the scalar path per
-// lane), so its intermittency story decomposes into two obligations
-// this file sweeps together:
+// continuous power (an interrupted lane runs alone on the scalar
+// MachineRunner path), so its intermittency story decomposes into two
+// obligations this file sweeps together:
 //
 //  1. The batched fast path must be state- and accounting-identical to
 //     each lane's golden continuous run — otherwise a deployment that
-//     batches when energy is plentiful and falls back when it is not
-//     would compute different answers depending on the weather.
-//  2. Each lane's scalar fallback — the path a harvested deployment
+//     batches when energy is plentiful and runs lanes alone when it is
+//     not would compute different answers depending on the weather.
+//  2. Each lane's scalar run — the path a harvested deployment
 //     actually executes — must be crash-equivalent at every injection
 //     point with at most one replay, exactly like every other workload.
 
@@ -35,8 +35,8 @@ type BatchWorkload struct {
 }
 
 // Lane is the scalar per-lane workload: the shared program over a
-// fresh machine seeded with that lane's inputs — exactly what the
-// batched engine's fallback runs for the lane under an outage.
+// fresh machine seeded with that lane's inputs — what a harvested
+// deployment runs for the lane.
 func (w BatchWorkload) Lane(lane int) Workload {
 	return Workload{
 		Name: fmt.Sprintf("%s[lane %d]", w.Name, lane),
@@ -60,7 +60,7 @@ type BatchReport struct {
 	// accounting); empty on a correct engine.
 	BatchMismatches []string `json:"batch_mismatches,omitempty"`
 	// LaneReports[k] is lane k's exhaustive crash sweep over the scalar
-	// fallback path.
+	// path.
 	LaneReports []*Report `json:"lane_reports"`
 }
 
@@ -98,7 +98,7 @@ func (r *BatchReport) Normalize() {
 
 // SweepBatch runs the two-obligation batched sweep: golden runs per
 // lane, one batched fast-path replay checked lane-by-lane against them,
-// then an exhaustive per-lane crash sweep of the scalar fallback.
+// then an exhaustive per-lane crash sweep of the scalar path.
 func SweepBatch(w BatchWorkload, opts Options) (*BatchReport, error) {
 	if w.Lanes < 1 || w.Lanes > array.MaxLanes {
 		return nil, fmt.Errorf("fault: batch lanes %d outside [1, %d]", w.Lanes, array.MaxLanes)
@@ -152,7 +152,7 @@ func SweepBatch(w BatchWorkload, opts Options) (*BatchReport, error) {
 // TinySVMBatch maps the hand-built two-class SVM onto the batched
 // engine with per-lane distinct binarized inputs (lane k feeds the
 // 2-bit input k), compiled once and shared by the batched replay and
-// every per-lane fallback controller.
+// every per-lane scalar controller.
 func TinySVMBatch(cfg *mtj.Config) (BatchWorkload, error) {
 	im := tinySVMModel()
 	mp, err := svm.CompileMapping(im, svmRows, 1)

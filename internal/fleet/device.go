@@ -8,15 +8,16 @@ import (
 	"mouse/internal/mtj"
 	"mouse/internal/power"
 	"mouse/internal/probe"
+	"mouse/internal/sim"
 	"mouse/internal/workload"
 )
 
 // Device is one simulated MOUSE device: a single-slot batch inbox, a
-// lazily built batch engine per workload, a capacitor state-of-charge,
-// and a probe.Stats shard recording its outages and voltage excursions.
-// All engine access happens on the device goroutine; the charge fields
-// are mutex-guarded because the scheduler reads them from the batcher
-// goroutines.
+// lazily built batch engine per workload, a power.Harvester holding its
+// energy buffer, and a probe.Stats shard recording its outages and
+// voltage excursions. All engine access happens on the device
+// goroutine; the harvester is mutex-guarded because the scheduler reads
+// it from the batcher goroutines.
 type Device struct {
 	id      int
 	f       *Fleet
@@ -25,9 +26,8 @@ type Device struct {
 	served  atomic.Uint64
 	engines map[string]workload.Classifier
 
-	mu         sync.Mutex
-	storedJ    float64
-	lastCredit time.Time
+	mu sync.Mutex
+	h  *power.Harvester // its clock counts seconds since the fleet started
 }
 
 // buffer is every device's energy buffer: mtj.ModernSTT's capacitor
@@ -35,22 +35,19 @@ type Device struct {
 // below CapVMin.
 var buffer = mtj.ModernSTT()
 
-// floorJ and fullJ are the capacitor's usable-energy bounds.
-func (f *Fleet) floorJ() float64 { return power.EnergyOf(buffer.CapC, buffer.CapVMin) }
-func (f *Fleet) fullJ() float64  { return power.EnergyOf(buffer.CapC, buffer.CapVMax) }
-
 func newDevice(f *Fleet, id int) *Device {
-	d := &Device{
+	stats := &probe.Stats{}
+	h := power.NewHarvester(power.Constant{W: f.cfg.HarvestW}, buffer.CapC, buffer.CapVMin, buffer.CapVMax)
+	h.Cap.SetVoltage(buffer.CapVMax)
+	stats.VoltageSample(0, buffer.CapVMax)
+	return &Device{
 		id:      id,
 		f:       f,
 		in:      make(chan *batch, 1),
-		stats:   &probe.Stats{},
+		stats:   stats,
 		engines: map[string]workload.Classifier{},
-		storedJ: f.fullJ(),
+		h:       h,
 	}
-	d.lastCredit = f.start
-	d.stats.VoltageSample(0, buffer.CapVMax)
-	return d
 }
 
 // run is the device goroutine: execute batches until the fleet stops,
@@ -83,7 +80,7 @@ func (d *Device) exec(b *batch) {
 		b.fail(err)
 		return
 	}
-	if err := d.drawOrWait(float64(b.n) * d.f.cfg.EnergyPerSampleJ); err != nil {
+	if err := d.draw(b); err != nil {
 		b.fail(err)
 		return
 	}
@@ -123,95 +120,80 @@ func (d *Device) engine(wl *wlState) (workload.Classifier, error) {
 	return cls, nil
 }
 
-// credit tops the capacitor up for the wall-clock time since the last
-// accounting, capped at the full charge. Callers hold d.mu.
-func (d *Device) credit(now time.Time) {
-	elapsed := now.Sub(d.lastCredit).Seconds()
-	d.lastCredit = now
-	if elapsed <= 0 {
-		return
+// catchUp credits the harvest since the device's clock and reports
+// whether that clock runs ahead of fleet time, which it does while the
+// device sleeps off a recharge. Callers hold d.mu.
+func (d *Device) catchUp() (recharging bool) {
+	now := d.f.sinceStart()
+	if now > d.h.Now() {
+		d.h.Idle(now - d.h.Now())
 	}
-	d.storedJ += elapsed * d.f.cfg.HarvestW
-	if full := d.f.fullJ(); d.storedJ > full {
-		d.storedJ = full
-	}
+	return now < d.h.Now()
 }
 
-// voltsLocked derives the capacitor voltage from the stored energy
-// (V = sqrt(2E/C)). Callers hold d.mu.
-func (d *Device) voltsLocked() float64 {
-	return power.VoltageAfterAdd(buffer.CapC, 0, d.storedJ)
-}
-
-// drawOrWait spends cost joules of charge. If the capacitor holds less
-// than cost above the floor, the device stalls for the recharge time —
-// a real wall-clock sleep recorded as an outage on the probe shard —
-// before completing the draw. Continuous mode never waits.
-func (d *Device) drawOrWait(cost float64) error {
-	f := d.f
-	if f.cfg.Mode == Continuous || cost <= 0 {
+// draw spends the batch's modelled price, its workload's HotBatch.Price,
+// in one instantaneous draw; the compute time is credited as idle
+// harvest by the next catch-up. Each brown-out recharges the buffer to
+// V_on (at most sim.DefaultMaxChargeWait per window, else the batch
+// fails) and records an outage on the probe shard, and the device then
+// sleeps the summed off-time. The shard samples the voltage at each
+// brown-out and after the draw, so reading a device's charge records
+// nothing. Continuous mode never draws.
+func (d *Device) draw(b *batch) error {
+	if d.f.cfg.Mode == Continuous {
 		return nil
+	}
+	cost, err := b.wl.hb.Price(b.n)
+	if err != nil {
+		return err
 	}
 	d.mu.Lock()
-	d.credit(time.Now())
-	if d.storedJ-f.floorJ() >= cost {
-		d.storedJ -= cost
-		v := d.voltsLocked()
-		d.mu.Unlock()
-		d.stats.VoltageSample(f.sinceStart(), v)
+	d.catchUp()
+	off := 0.0
+	for frac := d.h.Draw(0, cost); frac < 1; frac = d.h.Draw(0, cost) {
+		cost -= cost * frac
+		begin := d.h.Now()
+		d.stats.VoltageSample(begin, d.h.Cap.Voltage())
+		dt, err := d.h.ChargeUntilOn(sim.DefaultMaxChargeWait)
+		if err != nil {
+			d.mu.Unlock()
+			return err
+		}
+		d.stats.OutageBegin(begin)
+		d.stats.OutageEnd(d.h.Now(), dt)
+		off += dt
+	}
+	d.stats.VoltageSample(d.h.Now(), d.h.Cap.Voltage())
+	d.mu.Unlock()
+	if off == 0 {
 		return nil
 	}
-	need := cost - (d.storedJ - f.floorJ())
-	d.mu.Unlock()
-	wait := time.Duration(need / f.cfg.HarvestW * float64(time.Second))
-	begin := f.sinceStart()
-	d.stats.OutageBegin(begin)
-	timer := time.NewTimer(wait)
+	timer := time.NewTimer(time.Duration(off * float64(time.Second)))
 	defer timer.Stop()
 	select {
 	case <-timer.C:
-	case <-f.ctx.Done():
-		end := f.sinceStart()
-		d.stats.OutageEnd(end, end-begin)
+		return nil
+	case <-d.f.ctx.Done():
 		return ErrStopped
 	}
-	d.mu.Lock()
-	d.credit(time.Now())
-	d.storedJ -= cost
-	if floor := f.floorJ(); d.storedJ < floor {
-		// The timer can undershoot the harvest by a rounding error;
-		// clamp rather than carry negative charge.
-		d.storedJ = floor
-	}
-	v := d.voltsLocked()
-	d.mu.Unlock()
-	end := f.sinceStart()
-	d.stats.OutageEnd(end, end-begin)
-	d.stats.VoltageSample(end, v)
-	return nil
 }
 
-// Available returns the energy the device can spend right now (stored
-// charge above the shutdown floor, after crediting harvest). In
-// continuous mode every device always reports the full window.
+// Available returns the energy the device can spend right now: the
+// buffer's charge above the shutdown voltage after crediting harvest,
+// or zero while it recharges.
 func (d *Device) Available() float64 {
-	if d.f.cfg.Mode == Continuous {
-		return d.f.fullJ() - d.f.floorJ()
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.credit(time.Now())
-	return d.storedJ - d.f.floorJ()
+	if d.catchUp() {
+		return 0
+	}
+	return d.h.Cap.EnergyAbove(d.h.VOff)
 }
 
-// Charge returns the stored energy and the capacitor voltage.
+// Charge returns the stored energy and the buffer voltage.
 func (d *Device) Charge() (joules, volts float64) {
-	if d.f.cfg.Mode == Continuous {
-		full := d.f.fullJ()
-		return full, buffer.CapVMax
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.credit(time.Now())
-	return d.storedJ, d.voltsLocked()
+	d.catchUp()
+	return d.h.Cap.Energy(), d.h.Cap.Voltage()
 }

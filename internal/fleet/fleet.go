@@ -4,18 +4,19 @@
 // lanes or hit a deadline, whichever first), and placed on the device
 // with the most harvested charge. Each device owns its compiled batch
 // engines (workload.HotBatches recipes replayed through
-// array.BatchMachine), a capacitor state-of-charge fed by a constant
-// harvester, and a probe.Stats telemetry shard, so a fleet-wide metrics
-// view is one Stats.Merge away.
+// array.BatchMachine), a power.Harvester over mtj.ModernSTT's energy
+// buffer fed by a constant HarvestW source, and a probe.Stats telemetry
+// shard, so a fleet-wide metrics view is one Stats.Merge away.
 //
-// The energy model is the serving-layer image of the simulator's
-// capacitor: a device stores E = ½CV² in mtj.ModernSTT's energy
-// buffer, between its shutdown floor and restart threshold, harvests
-// HarvestW joules per wall-clock second, and spends EnergyPerSampleJ
-// per classified sample. A batch whose cost exceeds the stored energy
-// stalls the device for the recharge time — recorded as an outage on
-// the device's probe shard — which is what makes placement by charge
-// and admission backpressure observable end to end.
+// The energy model is the simulator's own: the harvester boots at
+// V_max, credits harvest for the fleet time since its clock, and
+// charges each batch its modelled price, the continuous-power compute
+// and backup energy of ceil(n/LaneWidth) passes of the workload's
+// program (workload.HotBatch.Price). A batch that outruns the buffer
+// recharges it once per brown-out, each recharge an outage on the
+// device's probe shard, and the device sleeps the summed off-time. That
+// is what makes placement by charge and admission backpressure
+// observable end to end.
 package fleet
 
 import (
@@ -40,9 +41,9 @@ const (
 	// tracking, no stalls, round-robin placement. The latency baseline.
 	Continuous PowerMode = "continuous"
 
-	// Harvested gives each device mtj.ModernSTT's capacitor window
-	// topped up at HarvestW; batches that outrun the harvest stall the
-	// device and the scheduler routes around it by charge.
+	// Harvested charges each batch's modelled price to its device's
+	// harvester, topped up at HarvestW; batches that outrun the harvest
+	// stall the device and the scheduler routes around it by charge.
 	Harvested PowerMode = "harvested"
 )
 
@@ -64,27 +65,24 @@ type Config struct {
 	// Mode selects Continuous or Harvested power.
 	Mode PowerMode
 
-	// HarvestW is the per-device harvest rate in watts (Harvested mode).
+	// HarvestW is the per-device harvest rate in watts: positive in
+	// Harvested mode, and not negative in Continuous mode, whose
+	// devices never draw and so stay at V_max.
 	HarvestW float64
-
-	// EnergyPerSampleJ is the charge drawn per classified sample.
-	EnergyPerSampleJ float64
 
 	// Workloads restricts the served workloads to these hot-batch
 	// registry names; nil serves every workload.HotBatches entry.
 	Workloads []string
 }
 
-// DefaultConfig returns a small harvested fleet with a 5 mW harvester
-// and 2 µJ per sample.
+// DefaultConfig returns a small harvested fleet with a 5 mW harvester.
 func DefaultConfig() Config {
 	return Config{
-		Devices:          4,
-		QueueDepth:       256,
-		BatchLinger:      2 * time.Millisecond,
-		Mode:             Harvested,
-		HarvestW:         5e-3,
-		EnergyPerSampleJ: 2e-6,
+		Devices:     4,
+		QueueDepth:  256,
+		BatchLinger: 2 * time.Millisecond,
+		Mode:        Harvested,
+		HarvestW:    5e-3,
 	}
 }
 
@@ -96,26 +94,12 @@ func (c Config) validate() error {
 		return fmt.Errorf("fleet: queue depth %d", c.QueueDepth)
 	case c.Mode != Continuous && c.Mode != Harvested:
 		return fmt.Errorf("fleet: unknown power mode %q", c.Mode)
-	case !finite(c.HarvestW, c.EnergyPerSampleJ):
-		return fmt.Errorf("fleet: non-finite energy parameter (harvest %g W, %g J per sample)",
-			c.HarvestW, c.EnergyPerSampleJ)
-	case c.EnergyPerSampleJ < 0:
-		return fmt.Errorf("fleet: energy per sample %g J", c.EnergyPerSampleJ)
-	case c.Mode == Harvested && c.HarvestW <= 0:
-		return fmt.Errorf("fleet: harvested mode needs a positive harvest rate, got %g W", c.HarvestW)
+	case !(c.HarvestW >= 0) || math.IsInf(c.HarvestW, 1): // NaN fails >=
+		return fmt.Errorf("fleet: harvest rate %g W is not a finite non-negative power", c.HarvestW)
+	case c.Mode == Harvested && c.HarvestW == 0:
+		return fmt.Errorf("fleet: harvested mode needs a positive harvest rate")
 	}
 	return nil
-}
-
-// finite reports whether every x is neither NaN nor ±Inf. The range
-// checks in validate compare with <= and <, which NaN passes.
-func finite(xs ...float64) bool {
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // Sentinel errors. OverloadedError carries the Retry-After hint and

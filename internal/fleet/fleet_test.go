@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mouse/internal/power"
 	"mouse/internal/workload"
 )
 
@@ -33,13 +34,13 @@ func newFleet(t *testing.T, cfg Config) *Fleet {
 
 func TestConfigValidation(t *testing.T) {
 	mut := map[string]func(*Config){
-		"no devices":    func(c *Config) { c.Devices = 0 },
-		"no queue":      func(c *Config) { c.QueueDepth = 0 },
-		"bad mode":      func(c *Config) { c.Mode = "solar" },
-		"negative cost": func(c *Config) { c.EnergyPerSampleJ = -1 },
-		"no harvest":    func(c *Config) { c.HarvestW = 0 },
-		"bad workload":  func(c *Config) { c.Workloads = []string{"frobnicate"} },
-		"dup workload":  func(c *Config) { c.Workloads = []string{"svm-adult", "svm-adult"} },
+		"no devices":       func(c *Config) { c.Devices = 0 },
+		"no queue":         func(c *Config) { c.QueueDepth = 0 },
+		"bad mode":         func(c *Config) { c.Mode = "solar" },
+		"no harvest":       func(c *Config) { c.HarvestW = 0 },
+		"negative harvest": func(c *Config) { c.Mode, c.HarvestW = Continuous, -1 },
+		"bad workload":     func(c *Config) { c.Workloads = []string{"frobnicate"} },
+		"dup workload":     func(c *Config) { c.Workloads = []string{"svm-adult", "svm-adult"} },
 	}
 	for name, fn := range mut {
 		cfg := DefaultConfig()
@@ -54,21 +55,15 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestConfigRejectsNonFinite: NaN passes every <= and < range check,
-// so each energy parameter must be rejected as NaN or ±Inf explicitly.
-// A fleet built on one would report NaN charge on /metrics.
+// so the harvest rate must be rejected as NaN or ±Inf explicitly. A
+// fleet built on one would report NaN charge on /metrics.
 func TestConfigRejectsNonFinite(t *testing.T) {
-	fields := map[string]func(*Config) *float64{
-		"HarvestW":         func(c *Config) *float64 { return &c.HarvestW },
-		"EnergyPerSampleJ": func(c *Config) *float64 { return &c.EnergyPerSampleJ },
-	}
-	for name, field := range fields {
-		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			cfg := DefaultConfig()
-			*field(&cfg) = v
-			if f, err := New(cfg); err == nil {
-				f.Stop()
-				t.Errorf("%s = %g: config accepted", name, v)
-			}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := DefaultConfig()
+		cfg.HarvestW = v
+		if f, err := New(cfg); err == nil {
+			f.Stop()
+			t.Errorf("HarvestW = %g: config accepted", v)
 		}
 	}
 }
@@ -102,8 +97,7 @@ func TestInferMatchesOffline(t *testing.T) {
 		cfg := quickConfig()
 		cfg.Mode = mode
 		if mode == Harvested {
-			cfg.HarvestW = 0.5 // µs recharge stalls
-			cfg.EnergyPerSampleJ = 1e-6
+			cfg.HarvestW = 0.5 // µs recharge stalls on the svm-adult chunks (3.5 and 4.5 µJ)
 			cfg.BatchLinger = 100 * time.Microsecond
 		}
 		f := newFleet(t, cfg)
@@ -155,9 +149,9 @@ func TestInferValidation(t *testing.T) {
 	}
 }
 
-// TestPlacementPrefersCharged drains two of three capacitors by hand and
-// checks the harvested scheduler ranks the full device first, while the
-// continuous scheduler rotates.
+// TestPlacementPrefersCharged drains two of three buffers through their
+// harvesters and checks the harvested scheduler ranks the full device
+// first, while the continuous scheduler rotates.
 func TestPlacementPrefersCharged(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Devices = 3
@@ -167,8 +161,8 @@ func TestPlacementPrefersCharged(t *testing.T) {
 	for _, i := range []int{0, 2} {
 		d := f.devices[i]
 		d.mu.Lock()
-		d.storedJ = f.floorJ()
-		d.lastCredit = time.Now()
+		d.catchUp()
+		d.h.Draw(0, 1) // a joule browns the buffer out
 		d.mu.Unlock()
 	}
 	if order := f.placement(); order[0] != 1 {
@@ -227,14 +221,14 @@ func TestHarvestedStallRecordsOutage(t *testing.T) {
 	cfg.Devices = 1
 	cfg.Mode = Harvested
 	cfg.HarvestW = 0.5
-	cfg.EnergyPerSampleJ = 2e-6 // one sample costs ~3x the 0.66 µJ window
 	cfg.Workloads = []string{"svm-adult"}
 	f := newFleet(t, cfg)
 	hb, err := workload.HotBatchByName("svm-adult")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Infer(context.Background(), "svm-adult", hb.Samples(1)); err != nil {
+	// Four 0.50 µJ passes cost ~3x the 0.66 µJ window.
+	if _, err := f.Infer(context.Background(), "svm-adult", hb.Samples(4)); err != nil {
 		t.Fatal(err)
 	}
 	sec := f.DeviceStats()[0].Section()
@@ -249,8 +243,87 @@ func TestHarvestedStallRecordsOutage(t *testing.T) {
 			sec.VoltageMin, sec.VoltageMax, buffer.CapVMin, buffer.CapVMax)
 	}
 	j, v := f.DeviceCharge(0)
-	if j > f.fullJ() || v > buffer.CapVMax+1e-9 {
+	if j > power.EnergyOf(buffer.CapC, buffer.CapVMax) || v > buffer.CapVMax+1e-9 {
 		t.Errorf("charge %g J / %g V above the full window", j, v)
+	}
+}
+
+// TestHarvestedOutagesMatchPrice: one 8-sample svm-adult request on a
+// fully charged device draws 8 passes of the workload's modelled price
+// and recharges once per window that price outruns: ceil((8·E_run −
+// window)/window) = 6 with E_run = 0.50 µJ and the 0.66 µJ window. The
+// voltage excursion spans exactly V_off to V_max, and the stalls leave
+// the predictions as the offline classifier's.
+func TestHarvestedOutagesMatchPrice(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Devices = 1
+	cfg.Mode = Harvested
+	cfg.HarvestW = 0.5
+	cfg.Workloads = []string{"svm-adult"}
+	f := newFleet(t, cfg)
+	hb, err := workload.HotBatchByName("svm-adult")
+	if err != nil {
+		t.Fatal(err)
+	}
+	price, err := hb.Price(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := power.EnergyAboveOf(buffer.CapC, buffer.CapVMax, buffer.CapVMin)
+	recharges := uint64(math.Ceil((price - window) / window))
+	if recharges != 6 {
+		t.Fatalf("8 passes of %g J over a %g J window need %d recharges, want 6", price/8, window, recharges)
+	}
+	samples := hb.Samples(8)
+	got, err := f.Infer(context.Background(), "svm-adult", samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := hb.NewBatched()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := offline(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("sample %d: fleet %d, offline %d", i, got[i], want[i])
+		}
+	}
+	sec := f.DeviceStats()[0].Section()
+	if sec.Outages != recharges {
+		t.Errorf("recorded %d outages, want %d", sec.Outages, recharges)
+	}
+	if sec.VoltageMin != buffer.CapVMin || sec.VoltageMax != buffer.CapVMax {
+		t.Errorf("voltage excursion [%g, %g], want exactly [%g, %g]",
+			sec.VoltageMin, sec.VoltageMax, buffer.CapVMin, buffer.CapVMax)
+	}
+}
+
+// TestHarvestedRechargeBound: a recharge longer than the simulator's
+// 24 h bound fails the batch with the harvester's error. At 0.1 pW one
+// 0.66 µJ window takes 6.6e6 s; converted to a time.Duration whole, the
+// 8.2e10 s stall a capacity-sized bnn-hidden16 batch once asked for
+// wrapped negative and the device "recharged" at once.
+func TestHarvestedRechargeBound(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Devices = 1
+	cfg.Mode = Harvested
+	cfg.HarvestW = 1e-13
+	cfg.Workloads = []string{"bnn-hidden16"}
+	f := newFleet(t, cfg)
+	hb, err := workload.HotBatchByName("bnn-hidden16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds, err := f.Infer(context.Background(), hb.Name, hb.Samples(hb.Capacity))
+	if err == nil {
+		t.Fatalf("a recharge beyond 24 h served %d predictions, want an error", len(preds))
+	}
+	if errors.Is(err, ErrStopped) || errors.Is(err, ErrInvalid) {
+		t.Errorf("err = %v, want the harvester's recharge-bound error", err)
 	}
 }
 
@@ -262,15 +335,15 @@ func TestQueueFullRejects(t *testing.T) {
 	cfg.Devices = 1
 	cfg.QueueDepth = 1
 	cfg.BatchLinger = 0
-	cfg.HarvestW = 1e-9
-	cfg.EnergyPerSampleJ = 1 // the first batch stalls the device for eons
+	cfg.HarvestW = 1e-9 // a 660 s recharge per 0.66 µJ window
 	cfg.Workloads = []string{"svm-adult"}
 	f := newFleet(t, cfg)
 	hb, err := workload.HotBatchByName("svm-adult")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample := hb.Samples(1)
+	// 64 passes of 0.50 µJ: the first batch stalls the device for hours.
+	sample := hb.Samples(hb.Capacity)
 
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -303,7 +376,6 @@ func TestStopFailsInflight(t *testing.T) {
 	cfg.Devices = 1
 	cfg.BatchLinger = 0
 	cfg.HarvestW = 1e-9
-	cfg.EnergyPerSampleJ = 1
 	cfg.Workloads = []string{"svm-adult"}
 	f, err := New(cfg)
 	if err != nil {
@@ -315,7 +387,8 @@ func TestStopFailsInflight(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := f.Infer(context.Background(), "svm-adult", hb.Samples(1))
+		// A capacity-sized request stalls the device for hours.
+		_, err := f.Infer(context.Background(), "svm-adult", hb.Samples(hb.Capacity))
 		errCh <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the request reach the stall
@@ -352,7 +425,7 @@ func TestIntrospection(t *testing.T) {
 		t.Error("introspection misreports an idle fleet")
 	}
 	j, v := f.DeviceCharge(0)
-	if j != f.fullJ() || v != buffer.CapVMax {
+	if j != power.EnergyOf(buffer.CapC, buffer.CapVMax) || v != buffer.CapVMax {
 		t.Errorf("continuous device charge %g J / %g V, want the full window", j, v)
 	}
 }

@@ -108,8 +108,9 @@ func rw(in *Instruction) (reads, writes [][2]int) {
 	return reads, writes
 }
 
-// overlap reports whether two (tile, row) locations can alias.
-func overlap(a, b [2]int) bool {
+// Overlap reports whether two (tile, row) locations, in the
+// LocAnyTile/LocBuffer convention, can alias.
+func Overlap(a, b [2]int) bool {
 	if a[1] != b[1] && !(a[0] == -2 && b[0] == -2) {
 		return false
 	}
@@ -160,7 +161,7 @@ func FindWARHazards(region Program) []Hazard {
 		reads, writes := rw(&region[i])
 		for _, w := range writes {
 			for _, r := range exposed {
-				if overlap(r.loc, w) {
+				if Overlap(r.loc, w) {
 					hazards = append(hazards, Hazard{
 						ReadAt: r.at, WriteAt: i,
 						Tile: w[0], Row: w[1],

@@ -152,18 +152,6 @@ func checkDefUse(p *Pass) {
 	}
 }
 
-// locOverlap reports whether two Effects locations can alias
-// (mirroring the hazard analysis's model).
-func locOverlap(a, b [2]int) bool {
-	if a[0] == isa.LocBuffer || b[0] == isa.LocBuffer {
-		return a[0] == b[0]
-	}
-	if a[1] != b[1] {
-		return false
-	}
-	return a[0] == isa.LocAnyTile || b[0] == isa.LocAnyTile || a[0] == b[0]
-}
-
 // locCovers reports whether a later write w2 definitely replaces
 // everything an earlier write w1 stored.
 func locCovers(w2, w1 [2]int) bool {
@@ -214,7 +202,7 @@ func checkDeadWrite(p *Pass) {
 		reads, writes := in.Effects()
 		for _, r := range reads {
 			for k := range pendings {
-				if locOverlap(pendings[k].loc, r) {
+				if isa.Overlap(pendings[k].loc, r) {
 					pendings[k].read = true
 				}
 			}
@@ -264,7 +252,7 @@ func checkDeadWrite(p *Pass) {
 		reads, writes := in.Effects()
 		for _, r := range reads {
 			for k := range pendings {
-				if locOverlap(pendings[k].loc, r) {
+				if isa.Overlap(pendings[k].loc, r) {
 					pendings[k].read = true
 				}
 			}

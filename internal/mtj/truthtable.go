@@ -2,6 +2,7 @@ package mtj
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -54,6 +55,14 @@ type tableKey struct {
 	rp, rap, switchTime, switchCurrent float64
 	cell                               CellKind
 	rChannel                           float64
+}
+
+// hasNaN reports whether a parameter of k is NaN. Such a key is not
+// equal to itself, so no cache lookup finds it, and storing it would
+// grow tableCache by one entry per call.
+func (k tableKey) hasNaN() bool {
+	return math.IsNaN(k.rp) || math.IsNaN(k.rap) || math.IsNaN(k.switchTime) ||
+		math.IsNaN(k.switchCurrent) || math.IsNaN(k.rChannel)
 }
 
 func keyOf(cfg *Config) tableKey {
@@ -119,6 +128,9 @@ func tablesFor(cfg *Config) *configTables {
 		ct = &configTables{}
 		for g := GateKind(0); g.Valid(); g++ {
 			ct.gates[g] = deriveEntry(g, cfg)
+		}
+		if k.hasNaN() {
+			return ct
 		}
 		v, _ := tableCache.LoadOrStore(k, ct)
 		ct = v.(*configTables)

@@ -1,6 +1,9 @@
 package mtj
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestTableMatchesThresholdSpec: the truth table derived from the
 // resistor network must coincide with the ideal threshold specification
@@ -81,6 +84,28 @@ func TestTableScaledConfigGetsFreshEntry(t *testing.T) {
 	}
 	if v == base {
 		t.Errorf("scaled config returned the unscaled bias %g", v)
+	}
+}
+
+// TestTableCacheSkipsNaNKeys: a configuration with a NaN parameter has
+// a cache key unequal to itself, which no lookup can find. Pricing it is
+// still answered (GateEnergy 0), but no call may add a cache entry.
+func TestTableCacheSkipsNaNKeys(t *testing.T) {
+	entries := func() int {
+		n := 0
+		tableCache.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	cfg := ModernSTT()
+	cfg.P.RP = math.NaN()
+	before := entries()
+	for i := 0; i < 1000; i++ {
+		if e := GateEnergy(NAND2, cfg); e != 0 {
+			t.Fatalf("GateEnergy(NAND2) with RP = NaN = %g, want 0", e)
+		}
+	}
+	if after := entries(); after != before {
+		t.Errorf("1000 NaN-keyed calls grew tableCache from %d to %d entries", before, after)
 	}
 }
 

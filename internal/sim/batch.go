@@ -7,27 +7,23 @@ import (
 	"mouse/internal/controller"
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
-	"mouse/internal/power"
-	"mouse/internal/probe"
 )
 
 // RunnerBatch executes one program over up to array.MaxLanes
-// independent input lanes. Under continuous power with no observers it
-// takes the bit-sliced fast path: the program is flattened once
-// (array.Flatten) and replayed once on a reused lane-sliced arena
-// (array.BatchMachine.Replay), every word operation advancing all
-// lanes. Continuous-power accounting does not depend on the data, so
-// the first batched Run prices the program once with
+// independent input lanes under continuous power, on the bit-sliced
+// path: the program is flattened once (array.Flatten) and replayed once
+// on a reused lane-sliced arena (array.BatchMachine.Replay), every word
+// operation advancing all lanes. Continuous-power accounting does not
+// depend on the data, so the first Run prices the program once with
 // MachineRunner.Run(nil) on an unloaded machine and every lane reuses
 // that Result: it is bit-identical to a sequential MachineRunner run of
 // the lane.
 //
 // Intermittent execution has no batched form: an outage lands at one
 // lane's own µ-phase, the interrupted pulse integrates per cell, and
-// checkpoint/replay state is per machine. So any lane given a harvester
-// or an observer runs the scalar path — a fresh machine, the real
-// controller, MachineRunner.Run — preserving checkpoint, replay, and
-// probe semantics per lane exactly as the single-sample runner does.
+// checkpoint/replay state is per machine. A lane that needs a harvester
+// or an observer runs alone through MachineRunner, as fault.SweepBatch
+// does through fault.BatchWorkload.Lane and fault.Sweep.
 type RunnerBatch struct {
 	cfg  *mtj.Config
 	w    BatchWorkload
@@ -55,22 +51,11 @@ type BatchWorkload struct {
 	Load func(lane int, set func(tile, row, col, bit int)) error
 }
 
-// BatchRun configures one Run call. The zero value (or a nil pointer)
-// selects the batched fast path for every lane.
+// BatchRun configures one Run call; a nil pointer is the zero value.
 type BatchRun struct {
-	// Harvester supplies lane's power source; nil (the function or its
-	// result) means continuous power. Any non-nil harvester routes that
-	// Run onto the per-lane scalar path.
-	Harvester func(lane int) *power.Harvester
-
-	// Observer supplies lane's probe observer. Observers see per-lane
-	// event streams, which only the scalar path produces, so a non-nil
-	// Observer routes the Run onto it too.
-	Observer func(lane int) probe.Observer
-
 	// Visit, if non-nil, receives each lane's final machine state after
-	// execution. On the fast path the machine is a shared scratch
-	// instance refilled per lane — copy out what you need.
+	// execution. The machine is a shared scratch instance refilled per
+	// lane — copy out what you need.
 	Visit func(lane int, m *array.Machine) error
 }
 
@@ -94,26 +79,16 @@ func NewRunnerBatch(cfg *mtj.Config, w BatchWorkload) (*RunnerBatch, error) {
 	}, nil
 }
 
-// Run executes lanes lanes of the workload and returns one Result per
-// lane. With a nil opts (or one with neither harvester nor observer)
-// every lane advances through the shared bit-sliced replay; otherwise
-// each lane runs the scalar intermittent path.
+// Run executes lanes lanes of the workload through one shared
+// bit-sliced replay and returns one Result per lane.
 func (r *RunnerBatch) Run(lanes int, opts *BatchRun) ([]Result, error) {
 	if lanes <= 0 || lanes > array.MaxLanes {
 		return nil, fmt.Errorf("sim: lane count %d out of range [1, %d]", lanes, array.MaxLanes)
 	}
-	if opts == nil || (opts.Harvester == nil && opts.Observer == nil) {
-		var visit func(lane int, m *array.Machine) error
-		if opts != nil {
-			visit = opts.Visit
-		}
-		return r.runBatched(lanes, visit)
+	var visit func(lane int, m *array.Machine) error
+	if opts != nil {
+		visit = opts.Visit
 	}
-	return r.runScalar(lanes, opts)
-}
-
-// runBatched is the fast path: one arena replay advances every lane.
-func (r *RunnerBatch) runBatched(lanes int, visit func(int, *array.Machine) error) ([]Result, error) {
 	// The arena is reused across Runs (alloc-free steady state); Reset
 	// restores the fresh-machine origin each sequential run starts from,
 	// so programs that read a cell before writing it still agree with
@@ -149,40 +124,6 @@ func (r *RunnerBatch) runBatched(lanes int, visit func(int, *array.Machine) erro
 				return nil, err
 			}
 			if err := visit(lane, r.scratch); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// runScalar is the per-lane fallback: fresh machine, real controller,
-// MachineRunner.
-func (r *RunnerBatch) runScalar(lanes int, opts *BatchRun) ([]Result, error) {
-	out := make([]Result, lanes)
-	for lane := 0; lane < lanes; lane++ {
-		m := array.NewMachine(r.cfg, r.w.Tiles, r.w.Rows, r.w.Cols)
-		err := r.w.Load(lane, func(tile, row, col, bit int) {
-			m.Tiles[tile].SetBit(row, col, bit)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sim: loading lane %d: %w", lane, err)
-		}
-		runner := NewMachineRunner(controller.New(controller.ProgramStore(r.w.Prog), m))
-		var h *power.Harvester
-		if opts.Harvester != nil {
-			h = opts.Harvester(lane)
-		}
-		if opts.Observer != nil {
-			runner.Obs = opts.Observer(lane)
-		}
-		res, err := runner.Run(h)
-		if err != nil {
-			return nil, fmt.Errorf("sim: lane %d: %w", lane, err)
-		}
-		out[lane] = res
-		if opts.Visit != nil {
-			if err := opts.Visit(lane, m); err != nil {
 				return nil, err
 			}
 		}

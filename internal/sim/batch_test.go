@@ -8,8 +8,6 @@ import (
 	"mouse/internal/controller"
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
-	"mouse/internal/power"
-	"mouse/internal/probe"
 )
 
 // batchWorkload is a small program whose per-lane inputs (tile 0, rows
@@ -46,7 +44,7 @@ func batchWorkload() BatchWorkload {
 
 // sequentialLane runs one lane of the workload on the untouched scalar
 // path: fresh machine, loader, controller, MachineRunner.
-func sequentialLane(t *testing.T, cfg *mtj.Config, w BatchWorkload, lane int, h *power.Harvester) (Result, *array.Machine) {
+func sequentialLane(t *testing.T, cfg *mtj.Config, w BatchWorkload, lane int) (Result, *array.Machine) {
 	t.Helper()
 	m := array.NewMachine(cfg, w.Tiles, w.Rows, w.Cols)
 	err := w.Load(lane, func(tile, row, col, bit int) {
@@ -55,7 +53,7 @@ func sequentialLane(t *testing.T, cfg *mtj.Config, w BatchWorkload, lane int, h 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewMachineRunner(controller.New(controller.ProgramStore(w.Prog), m)).Run(h)
+	res, err := NewMachineRunner(controller.New(controller.ProgramStore(w.Prog), m)).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +93,7 @@ func TestRunnerBatchMatchesMachineRunner(t *testing.T) {
 		visited := 0
 		results, err := r.Run(lanes, &BatchRun{
 			Visit: func(lane int, m *array.Machine) error {
-				_, wantM := sequentialLane(t, cfg, w, lane, nil)
+				_, wantM := sequentialLane(t, cfg, w, lane)
 				requireMachinesEqual(t, lane, wantM, m)
 				visited++
 				return nil
@@ -108,7 +106,7 @@ func TestRunnerBatchMatchesMachineRunner(t *testing.T) {
 			t.Fatalf("visited %d lanes, got %d results, want %d", visited, len(results), lanes)
 		}
 		for lane, res := range results {
-			want, _ := sequentialLane(t, cfg, w, lane, nil)
+			want, _ := sequentialLane(t, cfg, w, lane)
 			if res != want {
 				t.Fatalf("lane %d: batched result %+v, sequential %+v", lane, res, want)
 			}
@@ -131,7 +129,7 @@ func TestRunnerBatchArenaReuse(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		results, err := r.Run(64, &BatchRun{
 			Visit: func(lane int, m *array.Machine) error {
-				_, wantM := sequentialLane(t, cfg, w, lane, nil)
+				_, wantM := sequentialLane(t, cfg, w, lane)
 				requireMachinesEqual(t, lane, wantM, m)
 				return nil
 			},
@@ -147,78 +145,6 @@ func TestRunnerBatchArenaReuse(t *testing.T) {
 			if results[lane] != first[lane] {
 				t.Fatalf("round %d lane %d: result drifted: %+v vs %+v", round, lane, results[lane], first[lane])
 			}
-		}
-	}
-}
-
-// TestRunnerBatchScalarFallback: lanes given a harvester run the real
-// intermittent path — checkpoints, replays, outage accounting — and
-// must match a direct MachineRunner run of the same lane under an
-// identical harvester, state and Result alike.
-func TestRunnerBatchScalarFallback(t *testing.T) {
-	cfg := mtj.ModernSTT()
-	w := batchWorkload()
-	r, err := NewRunnerBatch(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	starved := func(int) *power.Harvester {
-		return power.NewHarvester(power.Constant{W: 1e-6}, 2e-9, cfg.CapVMin, cfg.CapVMax)
-	}
-	const lanes = 5
-	finals := make([]*array.Machine, lanes)
-	results, err := r.Run(lanes, &BatchRun{
-		Harvester: starved,
-		Visit: func(lane int, m *array.Machine) error {
-			finals[lane] = m
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawOutage := false
-	for lane := 0; lane < lanes; lane++ {
-		want, wantM := sequentialLane(t, cfg, w, lane, starved(lane))
-		if results[lane] != want {
-			t.Fatalf("lane %d: fallback result %+v, direct %+v", lane, results[lane], want)
-		}
-		requireMachinesEqual(t, lane, wantM, finals[lane])
-		if results[lane].Restarts > 0 {
-			sawOutage = true
-		}
-	}
-	if !sawOutage {
-		t.Fatal("starved harvester produced no outages; fallback path untested")
-	}
-}
-
-// TestRunnerBatchObserverFallback: a per-lane observer forces the
-// scalar path and sees each lane's own event stream.
-func TestRunnerBatchObserverFallback(t *testing.T) {
-	cfg := mtj.ModernSTT()
-	w := batchWorkload()
-	r, err := NewRunnerBatch(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const lanes = 3
-	stats := make([]*probe.Stats, lanes)
-	results, err := r.Run(lanes, &BatchRun{
-		Observer: func(lane int) probe.Observer {
-			stats[lane] = &probe.Stats{}
-			return stats[lane]
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lane := 0; lane < lanes; lane++ {
-		if got := stats[lane].Section().Instructions; got != results[lane].Instructions {
-			t.Fatalf("lane %d: observer saw %d instructions, result says %d", lane, got, results[lane].Instructions)
-		}
-		if results[lane].Instructions != uint64(len(w.Prog)) {
-			t.Fatalf("lane %d: ran %d instructions, want %d", lane, results[lane].Instructions, len(w.Prog))
 		}
 	}
 }

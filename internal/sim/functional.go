@@ -57,7 +57,7 @@ func NewMachineRunner(c *controller.Controller) *MachineRunner {
 	return &MachineRunner{
 		C:             c,
 		Model:         m,
-		MaxChargeWait: 24 * 3600,
+		MaxChargeWait: DefaultMaxChargeWait,
 	}
 }
 

@@ -155,9 +155,13 @@ type Runner struct {
 	ForceStepping bool
 }
 
+// DefaultMaxChargeWait is the recharge bound NewRunner and
+// NewMachineRunner set: 24 h, in seconds.
+const DefaultMaxChargeWait = 24 * 3600
+
 // NewRunner returns a runner over the given model.
 func NewRunner(m *energy.Model) *Runner {
-	return &Runner{Model: m, MaxChargeWait: 24 * 3600}
+	return &Runner{Model: m, MaxChargeWait: DefaultMaxChargeWait}
 }
 
 // Result is the outcome of one run.

@@ -17,8 +17,9 @@ import (
 // allocation and no per-instruction validation.
 //
 // The batched path is the continuous-power fast path only; energy
-// accounting and intermittent execution go through sim.RunnerBatch or
-// the scalar controller path, which this engine leaves untouched.
+// accounting goes through sim.RunnerBatch, and intermittent execution
+// through the scalar controller path, which this engine leaves
+// untouched.
 type BatchEngine struct {
 	m     *ParallelMapping
 	flat  *array.FlatProgram

@@ -6,8 +6,11 @@ import (
 
 	"mouse/internal/array"
 	"mouse/internal/bnn"
+	"mouse/internal/controller"
 	"mouse/internal/dataset"
+	"mouse/internal/isa"
 	"mouse/internal/mtj"
+	"mouse/internal/sim"
 	"mouse/internal/svm"
 )
 
@@ -56,6 +59,13 @@ type HotBatch struct {
 	// NewSequential builds the sequential reference: the pre-batch
 	// controller path, one MachineRunner pass per LaneWidth samples.
 	NewSequential func() (Classifier, error)
+
+	// Price returns the modelled energy of classifying n samples, in
+	// joules: ceil(n/LaneWidth) sequential passes, each costing the
+	// continuous-power compute plus backup energy of one MachineRunner
+	// pass of the mapping's program (the per-lane Result sim.RunnerBatch
+	// reports). The pass is priced once per process, on first call.
+	Price func(n int) (float64, error)
 }
 
 // HotBatches returns the registry. The underlying models are trained
@@ -156,6 +166,15 @@ func hotSVM() HotBatch {
 				return out, nil
 			}, nil
 		},
+		Price: func(n int) (float64, error) {
+			return svmPass.price(n, 1, func() (isa.Program, *array.Machine, error) {
+				_, mp, err := svmHotModel()
+				if err != nil {
+					return nil, nil, err
+				}
+				return mp.Prog, mp.NewMachine(mtj.ModernSTT(), 1024), nil
+			})
+		},
 	}
 }
 
@@ -254,7 +273,40 @@ func hotBNN() HotBatch {
 				return out, nil
 			}, nil
 		},
+		Price: func(n int) (float64, error) {
+			return bnnPass.price(n, bnnHotBatch, func() (isa.Program, *array.Machine, error) {
+				_, _, mp, err := bnnHotModel()
+				if err != nil {
+					return nil, nil, err
+				}
+				return mp.Prog, mp.NewMachine(mtj.ModernSTT(), 1024), nil
+			})
+		},
 	}
+}
+
+// passPrice memoizes one hot workload's per-pass energy.
+type passPrice struct {
+	once sync.Once
+	j    float64
+	err  error
+}
+
+var svmPass, bnnPass passPrice
+
+// price returns the energy of ceil(n/laneWidth) passes, running the
+// program that build returns once under continuous power on first call.
+func (p *passPrice) price(n, laneWidth int, build func() (isa.Program, *array.Machine, error)) (float64, error) {
+	p.once.Do(func() {
+		prog, m, err := build()
+		if err != nil {
+			p.err = err
+			return
+		}
+		res, err := sim.NewMachineRunner(controller.New(controller.ProgramStore(prog), m)).Run(nil)
+		p.j, p.err = res.ComputeEnergy+res.BackupEnergy, err
+	})
+	return float64((n+laneWidth-1)/laneWidth) * p.j, p.err
 }
 
 func cycleSamples(pool []dataset.Sample, n int) [][]int {

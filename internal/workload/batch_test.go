@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"mouse/internal/array"
+	"mouse/internal/controller"
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
+	"mouse/internal/sim"
 )
 
 // TestHotBatchesMatchSequential: every registry entry's batched
@@ -70,6 +72,49 @@ func TestHotBatchByName(t *testing.T) {
 	}
 	if _, err := HotBatchByName("nope"); err == nil {
 		t.Fatal("unknown hot batch accepted")
+	}
+}
+
+// TestHotBatchPrice: a batch of n samples is priced as ceil(n/LaneWidth)
+// passes, each the continuous-power compute plus backup energy of one
+// MachineRunner pass of the mapping's program on the mapping's machine.
+func TestHotBatchPrice(t *testing.T) {
+	_, svmMp, err := svmHotModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, bnnMp, err := bnnHotModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines := map[string]struct {
+		prog isa.Program
+		m    *array.Machine
+	}{
+		"svm-adult":    {svmMp.Prog, svmMp.NewMachine(mtj.ModernSTT(), 1024)},
+		"bnn-hidden16": {bnnMp.Prog, bnnMp.NewMachine(mtj.ModernSTT(), 1024)},
+	}
+	for _, hb := range HotBatches() {
+		mc, ok := machines[hb.Name]
+		if !ok {
+			t.Fatalf("%s: no reference machine", hb.Name)
+		}
+		res, err := sim.NewMachineRunner(controller.New(controller.ProgramStore(mc.prog), mc.m)).Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass := res.ComputeEnergy + res.BackupEnergy
+		t.Logf("%s: %.4g J per pass", hb.Name, pass)
+		for _, n := range []int{1, hb.LaneWidth, hb.LaneWidth + 1, hb.Capacity} {
+			got, err := hb.Price(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			passes := (n + hb.LaneWidth - 1) / hb.LaneWidth
+			if want := float64(passes) * pass; got != want {
+				t.Errorf("%s: Price(%d) = %g J, want %d passes x %g J = %g J", hb.Name, n, got, passes, pass, want)
+			}
+		}
 	}
 }
 
