@@ -21,8 +21,9 @@ import (
 // per-instruction validation.
 //
 // Like the SVM batch engine this is the continuous-power fast path
-// only; energy accounting goes through sim.RunnerBatch, and
-// intermittent execution through the scalar controller path.
+// only; energy accounting is one MachineRunner pass per column batch
+// (workload.HotBatch.Price), and intermittent execution goes through
+// the scalar controller path.
 type BatchEngine struct {
 	m    *Mapping
 	net  *Network

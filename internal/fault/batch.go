@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"mouse/internal/array"
+	"mouse/internal/controller"
+	"mouse/internal/isa"
 	"mouse/internal/mtj"
 	"mouse/internal/sim"
 	"mouse/internal/svm"
@@ -14,10 +16,12 @@ import (
 // MachineRunner path), so its intermittency story decomposes into two
 // obligations this file sweeps together:
 //
-//  1. The batched fast path must be state- and accounting-identical to
-//     each lane's golden continuous run — otherwise a deployment that
-//     batches when energy is plentiful and runs lanes alone when it is
-//     not would compute different answers depending on the weather.
+//  1. The batched fast path must be state-identical to each lane's
+//     golden continuous run, and the one unloaded pass that prices a
+//     batch must equal each lane's golden accounting — otherwise a
+//     deployment that batches when energy is plentiful and runs lanes
+//     alone when it is not would compute different answers, or pay
+//     different prices, depending on the weather.
 //  2. Each lane's scalar run — the path a harvested deployment
 //     actually executes — must be crash-equivalent at every injection
 //     point with at most one replay, exactly like every other workload.
@@ -29,9 +33,13 @@ type BatchWorkload struct {
 	Cfg  *mtj.Config
 	// Lanes is the batch width under test (1–64).
 	Lanes int
-	// Sim carries the program, geometry, and per-lane loader; it is the
-	// same value a sim.RunnerBatch consumes.
-	Sim sim.BatchWorkload
+	// Prog is the shared instruction stream.
+	Prog isa.Program
+	// Tiles/Rows/Cols is the machine geometry every lane runs on.
+	Tiles, Rows, Cols int
+	// Load seeds a fresh machine with lane's inputs. The batched replay
+	// and the scalar lanes both load through it.
+	Load func(lane int, m *array.Machine) error
 }
 
 // Lane is the scalar per-lane workload: the shared program over a
@@ -40,13 +48,9 @@ type BatchWorkload struct {
 func (w BatchWorkload) Lane(lane int) Workload {
 	return Workload{
 		Name: fmt.Sprintf("%s[lane %d]", w.Name, lane),
-		Cfg:  w.Cfg, Prog: w.Sim.Prog,
-		Tiles: w.Sim.Tiles, Rows: w.Sim.Rows, Cols: w.Sim.Cols,
-		Load: func(m *array.Machine) error {
-			return w.Sim.Load(lane, func(tile, row, col, bit int) {
-				m.Tiles[tile].SetBit(row, col, bit)
-			})
-		},
+		Cfg:  w.Cfg, Prog: w.Prog,
+		Tiles: w.Tiles, Rows: w.Rows, Cols: w.Cols,
+		Load: func(m *array.Machine) error { return w.Load(lane, m) },
 	}
 }
 
@@ -97,8 +101,11 @@ func (r *BatchReport) Normalize() {
 }
 
 // SweepBatch runs the two-obligation batched sweep: golden runs per
-// lane, one batched fast-path replay checked lane-by-lane against them,
-// then an exhaustive per-lane crash sweep of the scalar path.
+// lane, one bit-sliced replay of every loaded lane checked lane by lane
+// against them, then an exhaustive per-lane crash sweep of the scalar
+// path. Continuous-power accounting does not depend on the data, so
+// every lane's golden Result must equal one pass priced on an unloaded
+// machine — the pass workload.HotBatch.Price charges per lane.
 func SweepBatch(w BatchWorkload, opts Options) (*BatchReport, error) {
 	if w.Lanes < 1 || w.Lanes > array.MaxLanes {
 		return nil, fmt.Errorf("fault: batch lanes %d outside [1, %d]", w.Lanes, array.MaxLanes)
@@ -114,28 +121,40 @@ func SweepBatch(w BatchWorkload, opts Options) (*BatchReport, error) {
 		goldens[lane] = g
 	}
 
-	rb, err := sim.NewRunnerBatch(w.Cfg, w.Sim)
+	flat, err := array.Flatten(w.Prog, w.Cfg, w.Tiles, w.Rows, w.Cols)
 	if err != nil {
 		return nil, err
 	}
-	snaps := make([]*snapshot, w.Lanes)
-	results, err := rb.Run(w.Lanes, &sim.BatchRun{
-		Visit: func(lane int, m *array.Machine) error {
-			snaps[lane] = captureMachine(m)
-			return nil
-		},
-	})
+	bm := array.NewBatchMachine(w.Tiles, w.Rows, w.Cols)
+	for lane := 0; lane < w.Lanes; lane++ {
+		m := array.NewMachine(w.Cfg, w.Tiles, w.Rows, w.Cols)
+		if err := w.Load(lane, m); err != nil {
+			return nil, fmt.Errorf("fault: loading lane %d: %w", lane, err)
+		}
+		if err := bm.LoadLane(lane, m); err != nil {
+			return nil, err
+		}
+	}
+	if err := bm.Replay(flat, w.Cols); err != nil {
+		return nil, err
+	}
+	unloaded := array.NewMachine(w.Cfg, w.Tiles, w.Rows, w.Cols)
+	pass, err := sim.NewMachineRunner(controller.New(controller.ProgramStore(w.Prog), unloaded)).Run(nil)
 	if err != nil {
 		return nil, err
 	}
+	m := array.NewMachine(w.Cfg, w.Tiles, w.Rows, w.Cols)
 	for lane, g := range goldens {
-		if d := g.snap.diffState(snaps[lane]); d != "" {
+		if err := bm.StoreLane(lane, m); err != nil {
+			return nil, err
+		}
+		if d := g.snap.diffState(captureMachine(m)); d != "" {
 			rep.BatchMismatches = append(rep.BatchMismatches,
 				fmt.Sprintf("lane %d: batched state diverges from golden: %s", lane, d))
 		}
-		if results[lane] != g.Result {
+		if g.Result != pass {
 			rep.BatchMismatches = append(rep.BatchMismatches,
-				fmt.Sprintf("lane %d: batched accounting %+v, golden %+v", lane, results[lane], g.Result))
+				fmt.Sprintf("lane %d: golden accounting %+v, unloaded pass %+v", lane, g.Result, pass))
 		}
 	}
 
@@ -164,20 +183,18 @@ func TinySVMBatch(cfg *mtj.Config) (BatchWorkload, error) {
 		Name:  "tiny-svm-batch",
 		Cfg:   cfg,
 		Lanes: lanes,
-		Sim: sim.BatchWorkload{
-			Prog:  mp.Prog,
-			Tiles: 1, Rows: svmRows, Cols: arithCols,
-			Load: func(lane int, set func(tile, row, col, bit int)) error {
-				input := []int{lane & 1, lane >> 1 & 1}
-				for c := 0; c < mp.Columns; c++ {
-					for j, rows := range mp.InputRows {
-						for i, row := range rows {
-							set(0, row, c, input[j]>>i&1)
-						}
+		Prog:  mp.Prog,
+		Tiles: 1, Rows: svmRows, Cols: arithCols,
+		Load: func(lane int, m *array.Machine) error {
+			input := []int{lane & 1, lane >> 1 & 1}
+			for c := 0; c < mp.Columns; c++ {
+				for j, rows := range mp.InputRows {
+					for i, row := range rows {
+						m.Tiles[0].SetBit(row, c, input[j]>>i&1)
 					}
 				}
-				return nil
-			},
+			}
+			return nil
 		},
 	}, nil
 }

@@ -19,7 +19,6 @@ import (
 // goroutine; the harvester is mutex-guarded because the scheduler reads
 // it from the batcher goroutines.
 type Device struct {
-	id      int
 	f       *Fleet
 	in      chan *batch
 	stats   *probe.Stats
@@ -35,13 +34,12 @@ type Device struct {
 // below CapVMin.
 var buffer = mtj.ModernSTT()
 
-func newDevice(f *Fleet, id int) *Device {
+func newDevice(f *Fleet) *Device {
 	stats := &probe.Stats{}
 	h := power.NewHarvester(power.Constant{W: f.cfg.HarvestW}, buffer.CapC, buffer.CapVMin, buffer.CapVMax)
 	h.Cap.SetVoltage(buffer.CapVMax)
 	stats.VoltageSample(0, buffer.CapVMax)
 	return &Device{
-		id:      id,
 		f:       f,
 		in:      make(chan *batch, 1),
 		stats:   stats,

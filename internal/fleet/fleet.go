@@ -228,7 +228,7 @@ func New(cfg Config) (*Fleet, error) {
 	sort.Strings(f.names)
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 	for i := 0; i < cfg.Devices; i++ {
-		f.devices = append(f.devices, newDevice(f, i))
+		f.devices = append(f.devices, newDevice(f))
 	}
 	for _, d := range f.devices {
 		f.wg.Add(1)

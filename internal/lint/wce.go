@@ -116,8 +116,9 @@ func certify(it *interp, opts Options) *Certificate {
 		Feasible:    true,
 		WorstRegion: -1,
 	}
+	prices := energy.NewPrices(m)
 	for _, reg := range it.cfg.Regions {
-		rc := certifyRegion(it, m, reg)
+		rc := certifyRegion(it, m, prices, reg)
 		rc.Feasible = rc.WCEJ <= cert.WindowJ
 		if rc.WCEJ > 0 {
 			rc.Headroom = cert.WindowJ / rc.WCEJ
@@ -143,7 +144,7 @@ func certify(it *interp, opts Options) *Certificate {
 // restore that can precede a replay (the region-entry activation or any
 // ACT the partial attempt may have executed — the restart protocol
 // restores the last *executed* ACT, not the last checkpointed one).
-func certifyRegion(it *interp, m *energy.Model, reg Region) RegionCert {
+func certifyRegion(it *interp, m *energy.Model, prices *energy.Prices, reg Region) RegionCert {
 	rc := RegionCert{Index: reg.Index, Start: reg.Start, End: reg.End}
 	s := it.regionEntry(reg).clone()
 	restoreCols := s.act.ubPairs
@@ -161,7 +162,8 @@ func certifyRegion(it *interp, m *energy.Model, reg Region) RegionCert {
 		default:
 			op = energy.OpOf(*in, s.act.ubPairs, 0)
 		}
-		e := m.Energy(op) + m.Backup(op)
+		p := prices.Of(op)
+		e := p.Compute + p.Backup
 		sum += e
 		if e > rc.MaxOpJ {
 			rc.MaxOpJ = e

@@ -195,7 +195,6 @@ func TestTraceLayerMatchesFunctionalLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := batchWorkload()
 	noInput := func(*array.Machine) error { return nil }
 	cases := []struct {
 		name  string
@@ -206,9 +205,7 @@ func TestTraceLayerMatchesFunctionalLayer(t *testing.T) {
 	}{
 		{"multiplier", mul, 64, noInput, false},
 		{"funcProgram", funcProgram(), 16, noInput, true},
-		{"batchWorkload", w.Prog, 16, func(m *array.Machine) error {
-			return w.Load(5, func(tile, row, col, bit int) { m.Tiles[tile].SetBit(row, col, bit) })
-		}, true},
+		{"allKinds", allKindsProgram(), 16, loadAllKinds, true},
 	}
 	errText := func(err error) string {
 		if err == nil {
@@ -273,6 +270,38 @@ func TestTraceLayerMatchesFunctionalLayer(t *testing.T) {
 			agreed, stopped, late)
 	}
 	t.Logf("%d agreeing, %d non-terminating, %d with an ACT cut past its register commit", agreed, stopped, late)
+}
+
+// allKindsProgram is a small program whose inputs (tile 0, rows 0 and
+// 2, seeded by loadAllKinds) flow through every instruction kind:
+// presets, all gate shapes, a buffer read, a rotated cross-tile write,
+// and a narrowing activation.
+func allKindsProgram() isa.Program {
+	return isa.Program{
+		isa.ActRange(true, 0, 0, 8, 1),
+		isa.Preset(1, mtj.P),
+		isa.Logic(mtj.NAND2, []int{0, 2}, 1),
+		isa.Preset(3, mtj.AP),
+		isa.Logic(mtj.AND2, []int{0, 2}, 3),
+		isa.Preset(5, mtj.P),
+		isa.Logic(mtj.NOT, []int{2}, 5),
+		isa.Read(0, 1),
+		isa.WriteRot(1, 9, 3),
+		isa.ActList(false, 0, []uint16{2, 5}),
+		isa.Preset(7, mtj.P),
+		isa.Logic(mtj.NOR2, []int{0, 2}, 7),
+	}
+}
+
+// loadAllKinds seeds allKindsProgram's input rows with bits that differ
+// across columns.
+func loadAllKinds(m *array.Machine) error {
+	const seed = 5
+	for c := 0; c < 8; c++ {
+		m.Tiles[0].SetBit(0, c, seed>>(c%6)&1)
+		m.Tiles[0].SetBit(2, c, (seed+c)&1)
+	}
+	return nil
 }
 
 // TestLevelSwitchCounting: a workload alternating gate and preset

@@ -26,7 +26,9 @@ import (
 //   - The engine replays the stepping path's float operations exactly —
 //     the same expressions on the same values in the same order — using
 //     the pure helpers power.EnergyOf / EnergyAboveOf / VoltageAfterAdd
-//     the Capacitor itself delegates to. Retiring a segment by
+//     the Capacitor itself delegates to, per-run prices from
+//     energy.PrecostRuns (the stepping loop's energy.Prices table), and
+//     Model.Restore at each restart, as stepping calls it. Retiring a segment by
 //     prefix-sum subtraction or multiplying a steady-state window by an
 //     iteration count would be only approximately equal.
 //   - Accounting is window-local (mirroring Run's acc/flush structure):
@@ -143,8 +145,7 @@ type segLane struct {
 	// flushes into b at window close, error, and stream end.
 	b, acc energy.Breakdown
 
-	cache       map[segKey]segWindow
-	restoreCost map[int]float64 // Model.Restore front-cache by cols
+	cache map[segKey]segWindow
 
 	// Recording state for the currently open window. Only windows that
 	// open post-restore are recordable; the first window (fresh start)
@@ -175,11 +176,10 @@ func newSegLane(r *Runner, h *power.Harvester, p power.ConstantPlan, costs *ener
 	ls := &segLane{
 		r: r, h: h, p: p, obs: obs, costs: costs,
 		dt: dt, harvest: harvest,
-		window:      p.WindowJ,
-		budgetVMax:  power.EnergyAboveOf(p.C, p.VMax, p.VOff) + harvest,
-		v:           h.Cap.Voltage(),
-		cache:       make(map[segKey]segWindow),
-		restoreCost: make(map[int]float64),
+		window:     p.WindowJ,
+		budgetVMax: power.EnergyAboveOf(p.C, p.VMax, p.VOff) + harvest,
+		v:          h.Cap.Voltage(),
+		cache:      make(map[segKey]segWindow),
 	}
 
 	// Initial charge from an empty (or partial) buffer.
@@ -355,11 +355,7 @@ func (ls *segLane) stepOutage() bool {
 		// The stepping path's non-termination test at k = 1: the
 		// restore plus this instruction, net of harvest, against the
 		// window.
-		rc, ok := ls.restoreCost[ls.cols]
-		if !ok {
-			rc = ls.r.Model.Restore(ls.cols)
-			ls.restoreCost[ls.cols] = rc
-		}
+		rc := ls.r.Model.Restore(ls.cols)
 		if need := drain(rc, ls.harvest) + drain(ls.e, ls.harvest); need > ls.window {
 			ls.fail(nonTermination(need, ls.window))
 			return false

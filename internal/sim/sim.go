@@ -6,9 +6,10 @@
 // the buffer empties, recharges, restores its active columns, and
 // re-performs the interrupted instruction.
 //
-// Two layers share one stepping loop (Runner.step), which alone prices,
-// draws, interrupts, charges and restores; a nil harvester is
-// continuous power on the loop's own clock:
+// Two layers share one stepping loop (Runner.step), which alone draws,
+// interrupts, charges and restores; a nil harvester is continuous power
+// on the loop's own clock. Every engine prices instructions through an
+// energy.Prices table and restores through Model.Restore:
 //
 //   - The trace layer (Run/RunContinuous/RunWithCheckpointInterval)
 //     consumes an OpStream of (instruction kind, activity) events — this
@@ -53,7 +54,6 @@ import (
 
 	"mouse/internal/energy"
 	"mouse/internal/isa"
-	"mouse/internal/mtj"
 	"mouse/internal/power"
 	"mouse/internal/probe"
 )
@@ -133,6 +133,8 @@ var ErrBadInterval = errors.New("sim: checkpoint interval must be >= 1")
 
 // Runner executes operation streams.
 type Runner struct {
+	// Model prices every instruction, through one energy.Prices table
+	// per run, so it must not change while a run is in flight.
 	Model *energy.Model
 
 	// MaxChargeWait bounds a single recharge wait (guards against a
@@ -277,96 +279,6 @@ func nonTermination(need, window float64) error {
 	return fmt.Errorf("%w (restore plus region need %.3g J net of harvest, window holds %.3g J)", ErrNonTermination, need, window)
 }
 
-// priced is one Op's cycle cost, cached per Run: compute energy, backup
-// energy, and converter level.
-type priced struct {
-	compute, backup float64
-	level           int
-}
-
-// opPricer caches the energy model's per-Op answers for the duration of
-// one run. A program prices only a handful of distinct Ops (one per gate
-// at the current activation width, plus the memory and ACT shapes), but
-// the run loop consults the model for every instruction of every
-// restart; hashing Ops through a map was itself a hot spot, so the cache
-// is direct-indexed — one slot per gate keyed by the pair count, and one
-// slot per remaining kind. Cached values are the Model's own outputs, so
-// accounting stays bit-identical to calling the Model each cycle.
-type opPricer struct {
-	m *energy.Model
-
-	logic      [mtj.NumGates]priced
-	logicPairs [mtj.NumGates]int // -1 = empty
-
-	preset      priced
-	presetPairs int // -1 = empty
-
-	act     priced
-	actCols int // -1 = empty
-
-	read, write, other       priced
-	readOK, writeOK, otherOK bool
-}
-
-func newOpPricer(m *energy.Model) *opPricer {
-	p := &opPricer{m: m, presetPairs: -1, actCols: -1}
-	for i := range p.logicPairs {
-		p.logicPairs[i] = -1
-	}
-	return p
-}
-
-func (p *opPricer) compute(op energy.Op) priced {
-	return priced{
-		compute: p.m.Energy(op),
-		backup:  p.m.Backup(op),
-		level:   p.m.Level(op),
-	}
-}
-
-func (p *opPricer) price(op energy.Op) priced {
-	switch op.Kind {
-	case isa.KindLogic:
-		if p.logicPairs[op.Gate] != op.ActivePairs {
-			p.logic[op.Gate] = p.compute(op)
-			p.logicPairs[op.Gate] = op.ActivePairs
-		}
-		return p.logic[op.Gate]
-	case isa.KindPreset:
-		if p.presetPairs != op.ActivePairs {
-			p.preset = p.compute(op)
-			p.presetPairs = op.ActivePairs
-		}
-		return p.preset
-	case isa.KindAct:
-		if p.actCols != op.ActCols {
-			p.act = p.compute(op)
-			p.actCols = op.ActCols
-		}
-		return p.act
-	case isa.KindRead:
-		if !p.readOK {
-			p.read = p.compute(op)
-			p.readOK = true
-		}
-		return p.read
-	case isa.KindWrite:
-		if !p.writeOK {
-			p.write = p.compute(op)
-			p.writeOK = true
-		}
-		return p.write
-	default:
-		// Every remaining kind prices as fetch-only with the common
-		// backup cost and no array bias level.
-		if !p.otherOK {
-			p.other = p.compute(op)
-			p.otherOK = true
-		}
-		return p.other
-	}
-}
-
 // actRegCommitFrac is the fraction of an ACT's cycle by which it has
 // committed the ACT register, before its PC (Section V; phaseFor maps
 // it to the µ-phase after that commit). An outage there restores that
@@ -455,7 +367,7 @@ func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 		return Result{Breakdown: b, Replays: replays}, err
 	}
 	dt := r.Model.CycleTime()
-	pricer := newOpPricer(r.Model)
+	prices := energy.NewPrices(r.Model)
 	lastLevel := 0
 	actReg := 0 // columns the ACT register holds: what a restart re-latches
 	active := probe.Enabled(r.Obs)
@@ -548,10 +460,10 @@ func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 		// The region's last instruction pays the checkpoint (its Backup)
 		// in the same draw.
 		last := len(region)+1 == k
-		p := pricer.price(op)
-		ec, bk := p.compute, 0.0
+		p := prices.Of(op)
+		ec, bk := p.Compute, 0.0
 		if last {
-			bk = p.backup
+			bk = p.Backup
 		}
 		e := ec + bk
 		frac := 1.0
@@ -622,9 +534,9 @@ func (r *Runner) step(t target, h *power.Harvester, k int) (Result, error) {
 		if op.Kind == isa.KindAct {
 			actReg = op.ActCols
 		}
-		if p.level >= 0 && p.level != lastLevel {
+		if p.Level >= 0 && p.Level != lastLevel {
 			acc.LevelSwitches++
-			lastLevel = p.level
+			lastLevel = p.Level
 		}
 		if last {
 			region = region[:0]

@@ -17,9 +17,9 @@ import (
 // allocation and no per-instruction validation.
 //
 // The batched path is the continuous-power fast path only; energy
-// accounting goes through sim.RunnerBatch, and intermittent execution
-// through the scalar controller path, which this engine leaves
-// untouched.
+// accounting is one MachineRunner pass per lane
+// (workload.HotBatch.Price), and intermittent execution goes through
+// the scalar controller path, which this engine leaves untouched.
 type BatchEngine struct {
 	m     *ParallelMapping
 	flat  *array.FlatProgram

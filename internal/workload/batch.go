@@ -63,8 +63,10 @@ type HotBatch struct {
 	// Price returns the modelled energy of classifying n samples, in
 	// joules: ceil(n/LaneWidth) sequential passes, each costing the
 	// continuous-power compute plus backup energy of one MachineRunner
-	// pass of the mapping's program (the per-lane Result sim.RunnerBatch
-	// reports). The pass is priced once per process, on first call.
+	// pass of the mapping's program on an unloaded machine (the data
+	// cannot change it; fault.SweepBatch checks that against every
+	// lane's golden run). The pass is priced once per process, on first
+	// call.
 	Price func(n int) (float64, error)
 }
 

@@ -6,8 +6,10 @@ import (
 
 	"mouse/internal/array"
 	"mouse/internal/controller"
+	"mouse/internal/energy"
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
+	"mouse/internal/power"
 	"mouse/internal/sim"
 )
 
@@ -248,5 +250,56 @@ func TestHotBNNFills(t *testing.T) {
 				t.Fatalf("fill %d sample %d: batched class %d, sequential %d", n, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// BenchmarkHotProgramStream times one pass of each hot mapping's program
+// stream under a constant 1 mW source on ModernSTT's buffer, on the
+// segment engine and on the stepping engine, and the segment engine's
+// precosting alone. A program stream holds about one run-length run per
+// op (svm-adult: 50,016 runs of 11 distinct ops), so per-run costs that
+// the Fig. 9 phase streams amortize over long runs show here.
+func BenchmarkHotProgramStream(b *testing.B) {
+	_, svmMp, err := svmHotModel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, _, bnnMp, err := bnnHotModel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := mtj.ModernSTT()
+	m := energy.NewModel(cfg)
+	for _, tc := range []struct {
+		name string
+		prog isa.Program
+	}{
+		{"svm-adult", svmMp.Prog},
+		{"bnn-hidden16", bnnMp.Prog},
+	} {
+		s := sim.StreamFromProgram(tc.prog, 1)
+		for _, stepping := range []bool{false, true} {
+			name := tc.name + "/segment"
+			if stepping {
+				name = tc.name + "/stepping"
+			}
+			b.Run(name, func(b *testing.B) {
+				r := sim.NewRunner(m)
+				r.ForceStepping = stepping
+				for i := 0; i < b.N; i++ {
+					h := power.NewHarvester(power.Constant{W: 1e-3}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
+					if _, err := r.Run(s, h); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		b.Run(tc.name+"/precost", func(b *testing.B) {
+			runs := s.(sim.RunStream).Runs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				energy.PrecostRuns(m, runs)
+			}
+		})
 	}
 }
