@@ -5,7 +5,7 @@
 //
 //	mousebench [-experiment all|table1|table2|table3|table4|fig9|fig10|fig11|fig12|
 //	            crossover|robustness|checkpoint|parallelism|fft|batch|segment|fleet]
-//	           [-parallel N] [-json] [-telemetry] [-progress]
+//	           [-parallel N] [-json [-normalize]] [-telemetry] [-progress]
 //	           [-out FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Each experiment prints the same rows or series the paper reports; see
@@ -18,7 +18,10 @@
 // replaces the tables with a machine-readable report (schema documented
 // in EXPERIMENTS.md); -out writes the output to a file instead of
 // stdout, e.g. `mousebench -json -out BENCH.json` to record a
-// perf-trajectory snapshot.
+// perf-trajectory snapshot. -normalize (with -json) strips the
+// host-dependent fields — parallelism, wall times, meta and telemetry —
+// as Report.Normalize does, so two runs' simulation output can be
+// compared byte for byte.
 //
 // -telemetry attaches a shared probe.Stats observer to every simulation
 // the selected experiments run: with -json the report gains the
@@ -49,44 +52,56 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run")
-	parallel := flag.Int("parallel", 0, "sweep worker bound; 0 means one per CPU")
-	asJSON := flag.Bool("json", false, "emit a machine-readable report instead of tables")
-	telemetry := flag.Bool("telemetry", false, "collect run telemetry (replays, outages, energy by phase)")
-	progress := flag.Bool("progress", false, "report per-experiment start/finish lines live on stderr")
-	outPath := flag.String("out", "", "write output to this file instead of stdout")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "mousebench:", err)
+		os.Exit(1)
+	}
+}
 
-	out := io.Writer(os.Stdout)
+// run is mousebench with its arguments and streams: stdout receives the
+// tables or report (unless -out names a file), stderr flag usage and
+// the -progress feed.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mousebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "all", "which experiment to run")
+	parallel := fs.Int("parallel", 0, "sweep worker bound; 0 means one per CPU")
+	asJSON := fs.Bool("json", false, "emit a machine-readable report instead of tables")
+	normalize := fs.Bool("normalize", false, "with -json, drop host-dependent report fields (parallelism, wall time, meta, telemetry)")
+	telemetry := fs.Bool("telemetry", false, "collect run telemetry (replays, outages, energy by phase)")
+	progress := fs.Bool("progress", false, "report per-experiment start/finish lines live on stderr")
+	outPath := fs.String("out", "", "write output to this file instead of stdout")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken after the run to this file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	out := stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mousebench:", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		out = f
 	}
 	stop, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mousebench:", err)
-		os.Exit(1)
+		return err
 	}
 	progressTo := io.Writer(nil)
 	if *progress {
-		progressTo = os.Stderr
+		progressTo = stderr
 	}
-	runErr := runExperiments(*experiment, out, progressTo, *parallel, *asJSON, *telemetry)
+	runErr := runExperiments(options{
+		experiment: *experiment, workers: *parallel,
+		asJSON: *asJSON, normalize: *normalize, telemetry: *telemetry,
+	}, out, progressTo)
 	if err := stop(); err != nil {
-		fmt.Fprintln(os.Stderr, "mousebench:", err)
-		os.Exit(1)
+		return err
 	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "mousebench:", runErr)
-		os.Exit(1)
-	}
+	return runErr
 }
 
 // startProfiles begins CPU profiling (when requested) and returns a
@@ -126,32 +141,47 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 	}, nil
 }
 
+// options selects what runExperiments builds and how it renders it.
+type options struct {
+	experiment string // one experiment's name, or "all"
+	workers    int    // sweep-worker bound; <= 0 means one per CPU
+	asJSON     bool   // the structured report instead of tables
+	normalize  bool   // with asJSON, drop host-dependent fields
+	telemetry  bool   // share a probe.Stats across every simulation
+}
+
 // runExperiments builds the report of the selected experiment (or all
 // of them) with the given sweep-worker bound and writes it to out as
-// tables — or, with asJSON, as the structured report. telemetry
-// attaches a shared probe.Stats to every simulation and reports its
-// totals. A non-nil progressTo receives one live line per experiment
-// start/finish (the -progress stderr feed); it never receives table or
-// report bytes.
-func runExperiments(experiment string, out, progressTo io.Writer, workers int, asJSON, telemetry bool) error {
+// tables — or, with asJSON, as the structured report, normalized on
+// request. telemetry attaches a shared probe.Stats to every simulation
+// and reports its totals. A non-nil progressTo receives one live line
+// per experiment start/finish (the -progress stderr feed); it never
+// receives table or report bytes.
+func runExperiments(o options, out, progressTo io.Writer) error {
+	if o.normalize && !o.asJSON {
+		return fmt.Errorf("-normalize applies to -json reports only")
+	}
 	var prog bench.Progress
 	if progressTo != nil {
 		prog = bench.NewProgressWriter(progressTo)
 	}
 	var obs []probe.Observer
 	stats := &probe.Stats{}
-	if telemetry {
+	if o.telemetry {
 		obs = append(obs, stats)
 	}
-	rep, err := bench.BuildReport(experiment, workers, prog, obs...)
+	rep, err := bench.BuildReport(o.experiment, o.workers, prog, obs...)
 	if err != nil {
 		return err
 	}
-	if telemetry {
+	if o.telemetry {
 		rep.Telemetry = stats.Section()
 	}
-	if asJSON {
-		return rep.WriteJSON(out)
+	if !o.asJSON {
+		return rep.WriteTables(out)
 	}
-	return rep.WriteTables(out)
+	if o.normalize {
+		rep.Normalize()
+	}
+	return rep.WriteJSON(out)
 }

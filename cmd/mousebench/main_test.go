@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -27,7 +28,7 @@ func TestRunSingleExperiments(t *testing.T) {
 	}
 	for exp, want := range cases {
 		var out bytes.Buffer
-		if err := runExperiments(exp, &out, nil, 1, false, false); err != nil {
+		if err := runExperiments(options{experiment: exp, workers: 1}, &out, nil); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 		if !strings.Contains(out.String(), want) {
@@ -38,10 +39,10 @@ func TestRunSingleExperiments(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
-	if err := runExperiments("frobnicate", &out, nil, 1, false, false); err == nil {
+	if err := runExperiments(options{experiment: "frobnicate", workers: 1}, &out, nil); err == nil {
 		t.Fatalf("unknown experiment accepted")
 	}
-	if err := runExperiments("frobnicate", &out, nil, 1, true, false); err == nil {
+	if err := runExperiments(options{experiment: "frobnicate", workers: 1, asJSON: true}, &out, nil); err == nil {
 		t.Fatalf("unknown experiment accepted in JSON mode")
 	}
 }
@@ -52,7 +53,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 // exactly one blank line.
 func TestOutputIsExactlyTheSelectedExperiment(t *testing.T) {
 	var single bytes.Buffer
-	if err := runExperiments("table2", &single, nil, 1, false, false); err != nil {
+	if err := runExperiments(options{experiment: "table2", workers: 1}, &single, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := single.String()
@@ -70,7 +71,7 @@ func TestOutputIsExactlyTheSelectedExperiment(t *testing.T) {
 		if i > 0 {
 			stitched.WriteString("\n")
 		}
-		if err := runExperiments(exp, &stitched, nil, 1, false, false); err != nil {
+		if err := runExperiments(options{experiment: exp, workers: 1}, &stitched, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +92,7 @@ func TestDeterministicTables(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		var out bytes.Buffer
-		if err := runExperiments("all", &out, nil, workers, false, false); err != nil {
+		if err := runExperiments(options{experiment: "all", workers: workers}, &out, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := out.String(); got != string(want) {
@@ -132,10 +133,10 @@ func TestDeterministicJSONReports(t *testing.T) {
 func TestProgressLeavesStdoutIdentical(t *testing.T) {
 	for _, asJSON := range []bool{false, true} {
 		var plain, withProg, feed bytes.Buffer
-		if err := runExperiments("table2", &plain, nil, 1, asJSON, false); err != nil {
+		if err := runExperiments(options{experiment: "table2", workers: 1, asJSON: asJSON}, &plain, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := runExperiments("table2", &withProg, &feed, 1, asJSON, false); err != nil {
+		if err := runExperiments(options{experiment: "table2", workers: 1, asJSON: asJSON}, &withProg, &feed); err != nil {
 			t.Fatal(err)
 		}
 		if asJSON {
@@ -181,7 +182,7 @@ func TestReportCarriesRunMeta(t *testing.T) {
 // TestJSONModeEmitsValidReport exercises the -json path end to end.
 func TestJSONModeEmitsValidReport(t *testing.T) {
 	var out bytes.Buffer
-	if err := runExperiments("table3", &out, nil, 2, true, false); err != nil {
+	if err := runExperiments(options{experiment: "table3", workers: 2, asJSON: true}, &out, nil); err != nil {
 		t.Fatal(err)
 	}
 	var rep bench.Report
@@ -208,13 +209,13 @@ func TestJSONModeEmitsValidReport(t *testing.T) {
 // probe.Stats the run shared, and the tables above it are unchanged.
 func TestTelemetryRendersOnce(t *testing.T) {
 	var plain, tables, report bytes.Buffer
-	if err := runExperiments("table4", &plain, nil, 1, false, false); err != nil {
+	if err := runExperiments(options{experiment: "table4", workers: 1}, &plain, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := runExperiments("table4", &tables, nil, 1, false, true); err != nil {
+	if err := runExperiments(options{experiment: "table4", workers: 1, telemetry: true}, &tables, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := runExperiments("table4", &report, nil, 1, true, true); err != nil {
+	if err := runExperiments(options{experiment: "table4", workers: 1, asJSON: true, telemetry: true}, &report, nil); err != nil {
 		t.Fatal(err)
 	}
 	head, summary, ok := strings.Cut(tables.String(), "\nTelemetry — totals across every simulation above\n")
@@ -234,5 +235,43 @@ func TestTelemetryRendersOnce(t *testing.T) {
 	}
 	if summary != want.String() {
 		t.Errorf("table summary differs from the report's section:\n%s\nvs\n%s", summary, want.String())
+	}
+}
+
+// TestNormalizeFlag drives -json -normalize through the flag set: the
+// report keeps no host-dependent field, so runs at two parallelisms
+// print the same bytes, and -normalize without -json is refused.
+func TestNormalizeFlag(t *testing.T) {
+	runArgs := func(args ...string) ([]byte, error) {
+		var out bytes.Buffer
+		err := run(args, &out, io.Discard)
+		return out.Bytes(), err
+	}
+	serial, err := runArgs("-experiment", "table4", "-json", "-normalize", "-telemetry", "-parallel", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := runArgs("-experiment", "table4", "-json", "-normalize", "-telemetry", "-parallel", "4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serial, parallel) {
+		t.Errorf("normalized reports differ between -parallel 1 and 4:\n%s\nvs\n%s", serial, parallel)
+	}
+	var rep bench.Report
+	if err := json.Unmarshal(serial, &rep); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if rep.Parallelism != 0 || rep.Meta != nil || rep.Telemetry != nil {
+		t.Errorf("normalized report kept host fields: parallelism %d, meta %v, telemetry %v",
+			rep.Parallelism, rep.Meta, rep.Telemetry)
+	}
+	for _, e := range rep.Experiments {
+		if e.WallSeconds != 0 {
+			t.Errorf("%s: wall time %g kept", e.Name, e.WallSeconds)
+		}
+	}
+	if _, err := runArgs("-experiment", "table2", "-normalize"); err == nil {
+		t.Error("-normalize without -json accepted")
 	}
 }

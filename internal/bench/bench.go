@@ -256,35 +256,59 @@ type Fig9Point struct {
 }
 
 // ComputeFig9 sweeps the power source for every MOUSE benchmark under
-// the given configuration, plus the SONIC baselines. Every
-// (system, power) cell is one pool job owning its runner and harvester;
-// points come back in grid order regardless of scheduling.
+// the given configuration, plus the SONIC baselines. Each MOUSE row is
+// one pool job: a single sim.Runner.RunSweep call over the row's
+// harvesters, one per power, which precosts the stream once and folds
+// the powers' lanes together. Each SONIC point is one job of its own.
+// Points come back in grid order — system-major, then power —
+// regardless of scheduling.
 func ComputeFig9(cfg *mtj.Config, powers []float64, workers int, obs ...probe.Observer) ([]Fig9Point, error) {
 	specs := workload.Benchmarks()
 	sonics := []func() *baseline.SONIC{baseline.SONICMNIST, baseline.SONICHAR}
-	n := (len(specs) + len(sonics)) * len(powers)
-	return Jobs(workers, n, func(i int) (Fig9Point, error) {
-		sys, p := i/len(powers), powers[i%len(powers)]
-		if sys < len(specs) {
-			s := specs[sys]
+	n := len(specs) + len(sonics)*len(powers)
+	cells, err := Jobs(workers, n, func(i int) ([]Fig9Point, error) {
+		if i < len(specs) {
+			s := specs[i]
 			r := sim.NewRunner(energy.NewModel(cfg))
 			r.Obs = probe.First(obs)
-			h := power.NewHarvester(power.Constant{W: p}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-			res, err := r.Run(s.Stream(), h)
-			if err != nil {
-				return Fig9Point{}, fmt.Errorf("%s at %g W: %w", s.Name, p, err)
+			results, errs := r.RunSweep(s.Stream(), rowHarvesters(cfg, powers))
+			row := make([]Fig9Point, len(powers))
+			for j, p := range powers {
+				if errs[j] != nil {
+					return nil, fmt.Errorf("%s at %g W: %w", s.Name, p, errs[j])
+				}
+				row[j] = Fig9Point{System: s.Name, Watts: p,
+					LatencySec: results[j].TotalLatency(), Restarts: results[j].Restarts}
 			}
-			return Fig9Point{System: s.Name, Watts: p,
-				LatencySec: res.TotalLatency(), Restarts: res.Restarts}, nil
+			return row, nil
 		}
-		sb := sonics[sys-len(specs)]()
+		i -= len(specs)
+		sb, p := sonics[i/len(powers)](), powers[i%len(powers)]
 		res, err := sb.Run(power.Constant{W: p})
 		if err != nil {
-			return Fig9Point{}, fmt.Errorf("%s at %g W: %w", sb.Name, p, err)
+			return nil, fmt.Errorf("%s at %g W: %w", sb.Name, p, err)
 		}
-		return Fig9Point{System: sb.Name, Watts: p,
-			LatencySec: res.Latency, Restarts: uint64(res.Restarts)}, nil
+		return []Fig9Point{{System: sb.Name, Watts: p,
+			LatencySec: res.Latency, Restarts: uint64(res.Restarts)}}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	points := make([]Fig9Point, 0, (len(specs)+len(sonics))*len(powers))
+	for _, c := range cells {
+		points = append(points, c...)
+	}
+	return points, nil
+}
+
+// rowHarvesters returns one fresh constant-power harvester per power,
+// on cfg's buffer: the lanes of one benchmark's power sweep.
+func rowHarvesters(cfg *mtj.Config, powers []float64) []*power.Harvester {
+	hs := make([]*power.Harvester, len(powers))
+	for i, p := range powers {
+		hs[i] = power.NewHarvester(power.Constant{W: p}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
+	}
+	return hs
 }
 
 // Fig9Sweep is one configuration's Fig. 9 power sweep in a report.

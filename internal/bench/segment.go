@@ -7,7 +7,6 @@ import (
 
 	"mouse/internal/energy"
 	"mouse/internal/mtj"
-	"mouse/internal/power"
 	"mouse/internal/sim"
 	"mouse/internal/workload"
 )
@@ -55,15 +54,12 @@ func computeSegmentRow(spec workload.Spec, cfg *mtj.Config) (SegmentRow, error) 
 	// the stepping engine runs the points back to back.
 	stepRes := make([]sim.Result, len(powers))
 	stepErrs := make([]error, len(powers))
-	hs := make([]*power.Harvester, len(powers))
-	for i, watts := range powers {
+	for i, h := range rowHarvesters(cfg, powers) {
 		r := sim.NewRunner(model)
 		r.ForceStepping = true
-		h := power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 		stepRes[i], stepErrs[i] = r.Run(spec.Stream(), h)
-		hs[i] = power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 	}
-	segRes, segErrs := sim.NewRunner(model).RunSweep(spec.Stream(), hs)
+	segRes, segErrs := sim.NewRunner(model).RunSweep(spec.Stream(), rowHarvesters(cfg, powers))
 
 	for i := range powers {
 		if (segErrs[i] == nil) != (stepErrs[i] == nil) ||

@@ -3,6 +3,7 @@ package power
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"mouse/internal/probe"
 )
@@ -80,27 +81,40 @@ func (h *Harvester) vmax() float64 {
 // makes it eligible for the segment engine's bulk accounting.
 func (h *Harvester) SamplingEnabled() bool { return h.Obs != nil && h.SampleEvery > 0 }
 
-// Validate checks the harvester's physical configuration: a positive
-// capacitance, a positive voltage window ordered vOn > vOff > 0, and a
-// cap VMax that does not sit below the restart voltage. ChargeUntilOn
-// calls it so a misconfigured harvester fails with a typed error
-// instead of hanging in the charge loop (a zero-capacitance buffer, for
-// example, reaches its target energy of zero instantly yet can never
-// hold a voltage window).
+// Validate checks the harvester's physical configuration: a finite
+// positive capacitance, a finite voltage window ordered vOn > vOff > 0,
+// a finite cap VMax that does not sit below the restart voltage, and,
+// for a Constant source, a finite power. ChargeUntilOn calls it so a
+// misconfigured harvester fails with a typed error instead of hanging
+// in the charge loop (a zero-capacitance buffer, for example, reaches
+// its target energy of zero instantly yet can never hold a voltage
+// window). The tests are written !(x > 0) so a NaN fails them too.
 func (h *Harvester) Validate() error {
+	var problem string
 	switch {
 	case h.Src == nil:
-		return fmt.Errorf("%w: nil power source", ErrInvalidHarvester)
-	case h.Cap == nil || h.Cap.C <= 0:
-		return fmt.Errorf("%w: capacitance must be > 0", ErrInvalidHarvester)
-	case h.VOff <= 0:
-		return fmt.Errorf("%w: shutdown voltage %g must be > 0", ErrInvalidHarvester, h.VOff)
-	case h.VOn <= h.VOff:
-		return fmt.Errorf("%w: restart voltage %g must exceed shutdown voltage %g", ErrInvalidHarvester, h.VOn, h.VOff)
-	case h.VMax != 0 && h.VMax < h.VOn:
-		return fmt.Errorf("%w: voltage cap %g sits below restart voltage %g", ErrInvalidHarvester, h.VMax, h.VOn)
+		problem = "nil power source"
+	case h.Cap == nil || !(h.Cap.C > 0) || math.IsInf(h.Cap.C, 1):
+		problem = "capacitance must be finite and > 0"
+	case !(h.VOff > 0) || math.IsInf(h.VOff, 1):
+		problem = "shutdown voltage must be finite and > 0"
+	case !(h.VOn > h.VOff) || math.IsInf(h.VOn, 1):
+		problem = "restart voltage must be finite and exceed the shutdown voltage"
+	case !(h.vmax() >= h.VOn) || math.IsInf(h.vmax(), 1):
+		problem = "voltage cap must be finite and not below the restart voltage"
+	default:
+		c, ok := h.Src.(Constant)
+		if !ok || !math.IsNaN(c.W) && !math.IsInf(c.W, 0) {
+			return nil
+		}
+		problem = "constant source power must be finite"
 	}
-	return nil
+	src := "none"
+	if h.Src != nil {
+		src = h.Src.Name()
+	}
+	return fmt.Errorf("%w: %s (source %s, window %g-%g V, cap %g V)",
+		ErrInvalidHarvester, problem, src, h.VOff, h.VOn, h.VMax)
 }
 
 // sample emits a decimated voltage sample; force bypasses the
@@ -266,7 +280,7 @@ func (p ConstantPlan) ChargeTime(fromE, maxWait float64) (dt float64, charged bo
 		return 0, false, nil
 	}
 	dt = need / p.W
-	if dt > maxWait {
+	if !(dt <= maxWait) {
 		return 0, false, fmt.Errorf("power: charging would take %.3g s, beyond the %.3g s limit", dt, maxWait)
 	}
 	return dt, true, nil

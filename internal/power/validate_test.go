@@ -2,6 +2,7 @@ package power
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -27,6 +28,17 @@ func TestHarvesterValidate(t *testing.T) {
 		{"restart equals shutdown", func(h *Harvester) { h.VOn = h.VOff }, false},
 		{"cap below restart", func(h *Harvester) { h.VMax = h.VOn / 2 }, false},
 		{"zero cap means default", func(h *Harvester) { h.VMax = 0 }, true},
+		{"NaN capacitance", func(h *Harvester) { h.Cap.C = math.NaN() }, false},
+		{"infinite capacitance", func(h *Harvester) { h.Cap.C = math.Inf(1) }, false},
+		{"NaN shutdown voltage", func(h *Harvester) { h.VOff = math.NaN() }, false},
+		{"infinite shutdown voltage", func(h *Harvester) { h.VOff = math.Inf(1) }, false},
+		{"NaN restart voltage", func(h *Harvester) { h.VOn = math.NaN() }, false},
+		{"infinite restart voltage", func(h *Harvester) { h.VOn, h.VMax = math.Inf(1), 0 }, false},
+		{"NaN cap", func(h *Harvester) { h.VMax = math.NaN() }, false},
+		{"infinite cap", func(h *Harvester) { h.VMax = math.Inf(1) }, false},
+		{"NaN constant power", func(h *Harvester) { h.Src = Constant{W: math.NaN()} }, false},
+		{"infinite constant power", func(h *Harvester) { h.Src = Constant{W: math.Inf(1)} }, false},
+		{"negative infinite constant power", func(h *Harvester) { h.Src = Constant{W: math.Inf(-1)} }, false},
 	}
 	for _, c := range cases {
 		h := good()
@@ -56,6 +68,18 @@ func TestChargeUntilOnRejectsInvalid(t *testing.T) {
 	h = NewHarvester(Solar{Peak: 1e-3, Period: 1}, 100e-6, 0.34, 0.32) // inverted window
 	if _, err := h.ChargeUntilOn(10); !errors.Is(err, ErrInvalidHarvester) {
 		t.Fatalf("got %v, want ErrInvalidHarvester", err)
+	}
+}
+
+// TestChargeTimeRejectsNaNWait: a NaN off-time bound fails the charge
+// instead of letting every recharge "succeed".
+func TestChargeTimeRejectsNaNWait(t *testing.T) {
+	p, _ := NewHarvester(Constant{W: 1e-3}, 100e-6, 0.32, 0.34).Plan()
+	if _, _, err := p.ChargeTime(0, math.NaN()); err == nil {
+		t.Fatal("ChargeTime accepted a NaN maxWait")
+	}
+	if _, _, err := p.ChargeTime(0, 10); err != nil {
+		t.Fatalf("finite wait: %v", err)
 	}
 }
 

@@ -57,16 +57,18 @@ import (
 //     chained. Events carry no timestamp (T is 0): the engine keeps no
 //     clock.
 //
-// The engine is written as a resumable per-lane state machine (segLane)
-// rather than nested loops so that RunSweep can interleave several
-// constant-power lanes in one pass. The voltage recurrence
+// The engine is a resumable per-lane state machine (segLane) around one
+// struct-of-arrays kernel (segKernel), so that RunSweep can fold several
+// constant-power lanes in one loop. The voltage recurrence
 // v' = sqrt(2*(0.5*C*v*v + de)/C) is a serial sqrt+divide dependency
-// chain (~45 cycles of latency per retired op when folding fresh);
-// round-robin stepping across independent lanes lets the out-of-order
-// core overlap the chains, turning the fold latency-bound into
-// throughput-bound — on SVM ADULT on a 2-vCPU VM about 1.5-2x over
-// running the 8 lanes one by one (about 6.7 ms against 3.0-4.7 ms), on
-// top of the window cache, at identical per-lane arithmetic.
+// chain (~50 cycles of latency per retired op when folding fresh). The
+// kernel retires one op per lane per pass over flat per-lane arrays, so
+// the out-of-order core overlaps the lanes' chains and the fold runs at
+// divider throughput instead of chain latency. Run is a kernel of one
+// lane. On SVM ADULT's 8 Fig. 9 powers on a 2-vCPU VM, running the
+// lanes one by one takes about 5.5 ms and one RunSweep 1.3-2.3 ms
+// (median 1.4 ms), on top of the window cache, at identical per-lane
+// arithmetic.
 //
 // The harvester is written back in bulk on exit: the buffer voltage is
 // exact; the clock advances by OnLatency+OffLatency, which can differ
@@ -103,9 +105,8 @@ type segWindow struct {
 }
 
 // segLane is one constant-power execution in flight: a Runner's full
-// intermittent-run state, advanced one retired instruction per step
-// call. Run drives a single lane to completion; RunSweep round-robins
-// several so their voltage chains overlap.
+// intermittent-run state. segKernel folds its plain commits; the lane's
+// own methods (settle, resume, retireOne) take everything else.
 type segLane struct {
 	idx int // position in the caller's harvester slice (RunSweep)
 
@@ -256,52 +257,56 @@ func (ls *segLane) finish(err error, completed bool) {
 	ls.h.AdvanceClock(ls.b.OnLatency + ls.b.OffLatency)
 }
 
-// step retires at least one instruction (replaying through any outages
-// it hits) or finishes the lane; it reports whether the lane still has
-// work. One call never spans an outage boundary mid-instruction, so
-// interleaved lanes stay independent.
-func (ls *segLane) step() bool {
-	if ls.done {
-		return false
-	}
-
-	// Bulk-commit a pinned tail: the voltage, columns, and level are all
-	// stationary past the run's first retired op, so the tail is rem
-	// identical Breakdown adds, which fsum.AddN folds bit-exactly.
-	if ls.pinned && ls.used > 0 && ls.v == ls.p.VMax {
-		rem := ls.count - ls.used
-		ls.acc.ComputeEnergy = fsum.AddN(ls.acc.ComputeEnergy, ls.ec, uint64(rem))
-		ls.acc.BackupEnergy = fsum.AddN(ls.acc.BackupEnergy, ls.bk, uint64(rem))
-		ls.acc.OnLatency = fsum.AddN(ls.acc.OnLatency, ls.dt, uint64(rem))
-		ls.acc.Instructions += uint64(rem)
-		ls.wRetired += rem
-		return ls.advanceRun()
-	}
-
-	// Fast path: the overwhelmingly common case is a plain commit with
-	// no outage — h.Draw(dt, e) inlined over the local voltage.
-	budget := power.EnergyAboveOf(ls.p.C, ls.v, ls.p.VOff) + ls.harvest
-	if ls.e <= budget || ls.e <= 0 {
-		v := power.VoltageAfterAdd(ls.p.C, ls.v, ls.harvest-ls.e)
-		if v > ls.p.VMax {
-			v = ls.p.VMax
+// settle runs the lane's state machine until its pending instruction
+// is a plain commit the kernel can fold — one that latches no new ACT
+// columns and switches no converter level — or the lane finishes; it
+// reports whether the lane still has work. A pinned tail is committed
+// in bulk here, and any other instruction retires through
+// retireOne.
+func (ls *segLane) settle() bool {
+	for !ls.done {
+		// Bulk-commit a pinned tail: the voltage, columns, and level are
+		// all stationary past the run's first retired op, so the tail is
+		// rem identical Breakdown adds, which fsum.AddN folds bit-exactly.
+		if ls.pinned && ls.used > 0 && ls.v == ls.p.VMax {
+			rem := ls.count - ls.used
+			ls.acc.ComputeEnergy = fsum.AddN(ls.acc.ComputeEnergy, ls.ec, uint64(rem))
+			ls.acc.BackupEnergy = fsum.AddN(ls.acc.BackupEnergy, ls.bk, uint64(rem))
+			ls.acc.OnLatency = fsum.AddN(ls.acc.OnLatency, ls.dt, uint64(rem))
+			ls.acc.Instructions += uint64(rem)
+			ls.wRetired += rem
+			ls.advanceRun()
+			continue
 		}
-		ls.v = v
-		ls.acc.ComputeEnergy += ls.ec
-		ls.acc.BackupEnergy += ls.bk
-		ls.acc.OnLatency += ls.dt
-		ls.acc.Instructions++
-		ls.wRetired++
-		return ls.commitAdvance()
+		if !(ls.isAct && ls.cols != ls.actCols) && !(ls.lv >= 0 && ls.lv != ls.level) {
+			return true
+		}
+		ls.retireOne()
 	}
-	return ls.stepOutage()
+	return false
 }
 
-// stepOutage is the slow path: the pending instruction outages at the
-// current voltage. It replays the stepping path's outage protocol —
-// partial accrual, recharge, restore (with window close and cache
-// chaining) — until the instruction finally commits or the lane errors.
-func (ls *segLane) stepOutage() bool {
+// resume takes the lane back from the kernel: committed reports whether
+// the kernel retired the lane's last instruction (the lane then reached
+// its run's end or a pinned tail) or stopped at a failed budget check.
+// It reports whether the lane still has work.
+func (ls *segLane) resume(committed bool) bool {
+	switch {
+	case !committed:
+		ls.retireOne()
+	case ls.used >= ls.count:
+		ls.advanceRun()
+	}
+	return ls.settle()
+}
+
+// retireOne retires the pending instruction through the stepping path's
+// full protocol: h.Draw, and on an outage partial accrual, recharge and
+// restore (with window close and cache chaining), until the instruction
+// finally commits or the lane errors. It is the kernel's slow path, and
+// the only path for an instruction that latches new ACT columns or
+// switches the converter level.
+func (ls *segLane) retireOne() {
 	retry := false
 	for {
 		// h.Draw(dt, e), inlined over the local voltage.
@@ -358,12 +363,12 @@ func (ls *segLane) stepOutage() bool {
 		rc := ls.r.Model.Restore(ls.cols)
 		if need := drain(rc, ls.harvest) + drain(ls.e, ls.harvest); need > ls.window {
 			ls.fail(nonTermination(need, ls.window))
-			return false
+			return
 		}
 
 		// h.ChargeUntilOn, closed form.
 		if !ls.recharge() {
-			return false
+			return
 		}
 
 		// r.restore, inlined: pay the re-activation cost, recharging
@@ -392,7 +397,7 @@ func (ls *segLane) stepOutage() bool {
 				break
 			}
 			if !ls.recharge() {
-				return false
+				return
 			}
 		}
 
@@ -436,12 +441,12 @@ func (ls *segLane) stepOutage() bool {
 		ls.recordable = true
 		ls.wRetired, ls.wReplays = 0, 0
 	}
-	return ls.commitAdvance()
+	ls.commitAdvance()
 }
 
 // commitAdvance applies the post-commit state updates (ACT column
 // latch, converter level switch) and moves to the next instruction.
-func (ls *segLane) commitAdvance() bool {
+func (ls *segLane) commitAdvance() {
 	if ls.isAct {
 		ls.cols = ls.actCols
 	}
@@ -451,9 +456,8 @@ func (ls *segLane) commitAdvance() bool {
 	}
 	ls.used++
 	if ls.used >= ls.count {
-		return ls.advanceRun()
+		ls.advanceRun()
 	}
-	return true
 }
 
 // recharge is the closed-form h.ChargeUntilOn; it reports false after
@@ -506,27 +510,155 @@ func (ls *segLane) fail(err error) {
 }
 
 // advanceRun moves to the next run, finishing the lane at stream end.
-func (ls *segLane) advanceRun() bool {
+func (ls *segLane) advanceRun() {
 	ls.emitRun(ls.count)
 	ls.ri++
 	if ls.ri >= len(ls.costs.Runs) {
 		ls.finish(nil, true)
-		return false
+		return
 	}
 	ls.enterRun()
+}
+
+// kernelWidth is the number of lanes segKernel folds at once: enough
+// independent voltage chains to fill the out-of-order window (a Fig. 9
+// row has 8 powers). Further lanes wait for a slot to free up.
+const kernelWidth = 8
+
+// segKernel is the engine's one fast path: it folds the plain no-outage
+// commits of the lanes it holds, struct-of-arrays, one instruction per
+// lane per pass of its loop — h.Draw(dt, e) over the lane's voltage, the
+// stepping path's float expressions in the stepping path's order. A
+// lane leaves the loop at its run's end, when its voltage reaches a
+// pinned tail's VMax, or when its budget check fails, and goes back to
+// its segLane state machine (resume), which handles outages, run
+// boundaries, ACT and level-change commits and cached windows, then
+// returns it to its slot, or, once it has finished, gives the slot to
+// the next waiting lane.
+//
+// Slot i of every array belongs to lanes[i]: load copies a lane's hot
+// state in, store writes it back. Between the two the kernel's copy is
+// the live one; Instructions and the window's retired count are
+// derived from used on store.
+type segKernel struct {
+	dt    float64 // the lanes' shared Model.CycleTime()
+	n     int     // slots in use: lanes[:n]
+	lanes [kernelWidth]*segLane
+	wait  []*segLane // settled lanes without a slot yet
+
+	v, e, harvest, ec, bk [kernelWidth]float64
+	c, vOff, vMax         [kernelWidth]float64
+	// pinV is VMax while the lane's run is pinned, else NaN (which no
+	// voltage equals): reaching it hands the tail to the bulk commit.
+	pinV                [kernelWidth]float64
+	compute, backup, on [kernelWidth]float64 // the open window's acc sums
+	used, count, used0  [kernelWidth]int64   // used0: used at load
+}
+
+// foldLanes runs lanes, all driven by one Runner, to completion.
+func foldLanes(lanes []*segLane) {
+	k := &segKernel{}
+	for _, ls := range lanes {
+		k.dt = ls.dt
+		if ls.settle() {
+			k.wait = append(k.wait, ls)
+		}
+	}
+	for k.n < kernelWidth && k.fill(k.n) {
+		k.n++
+	}
+	k.run()
+}
+
+// fill loads the next waiting lane into slot i; it reports false when
+// no lane waits.
+func (k *segKernel) fill(i int) bool {
+	if len(k.wait) == 0 {
+		return false
+	}
+	k.load(i, k.wait[0])
+	k.wait = k.wait[1:]
 	return true
 }
 
+// load copies ls's hot state into slot i.
+func (k *segKernel) load(i int, ls *segLane) {
+	k.lanes[i] = ls
+	k.v[i], k.e[i], k.harvest[i], k.ec[i], k.bk[i] = ls.v, ls.e, ls.harvest, ls.ec, ls.bk
+	k.c[i], k.vOff[i], k.vMax[i] = ls.p.C, ls.p.VOff, ls.p.VMax
+	k.pinV[i] = math.NaN()
+	if ls.pinned {
+		k.pinV[i] = ls.p.VMax
+	}
+	k.compute[i], k.backup[i], k.on[i] = ls.acc.ComputeEnergy, ls.acc.BackupEnergy, ls.acc.OnLatency
+	k.used[i], k.count[i], k.used0[i] = ls.used, ls.count, ls.used
+}
+
+// store writes slot i's state back into its lane.
+func (k *segKernel) store(i int) {
+	ls := k.lanes[i]
+	ls.v = k.v[i]
+	ls.acc.ComputeEnergy, ls.acc.BackupEnergy, ls.acc.OnLatency = k.compute[i], k.backup[i], k.on[i]
+	n := k.used[i] - k.used0[i]
+	ls.used = k.used[i]
+	ls.acc.Instructions += uint64(n)
+	ls.wRetired += n
+}
+
+// run folds until every lane has finished.
+func (k *segKernel) run() {
+	dt := k.dt
+	for k.n > 0 {
+		for i := 0; i < k.n && i < kernelWidth; i++ {
+			budget := power.EnergyAboveOf(k.c[i], k.v[i], k.vOff[i]) + k.harvest[i]
+			if !(k.e[i] <= budget || k.e[i] <= 0) {
+				k.exit(i, false)
+				continue
+			}
+			v := power.VoltageAfterAdd(k.c[i], k.v[i], k.harvest[i]-k.e[i])
+			if v > k.vMax[i] {
+				v = k.vMax[i]
+			}
+			k.v[i] = v
+			k.compute[i] += k.ec[i]
+			k.backup[i] += k.bk[i]
+			k.on[i] += dt
+			k.used[i]++
+			if k.used[i] >= k.count[i] || v == k.pinV[i] {
+				k.exit(i, true)
+			}
+		}
+	}
+}
+
+// exit hands slot i's lane back to its state machine and reloads it. A
+// lane that finishes gives the slot to the next waiting lane, or to the
+// last slot's lane, which then folds again from the next pass on.
+func (k *segKernel) exit(i int, committed bool) {
+	k.store(i)
+	if ls := k.lanes[i]; ls.resume(committed) {
+		k.load(i, ls)
+		return
+	}
+	if k.fill(i) {
+		return
+	}
+	k.n--
+	if i < k.n {
+		k.store(k.n)
+		k.load(i, k.lanes[k.n])
+	}
+}
+
 // runSegments is Run's analytic fast path, for the runs segmentPlan
-// admits.
+// admits: a kernel of one lane.
 func (r *Runner) runSegments(s RunStream, h *power.Harvester, p power.ConstantPlan) (Result, error) {
 	// Parity with the stepping path's entry/exit stream contract: start
 	// from the beginning. The engine reads Runs() instead of Next(), so
 	// the stream stays rewound rather than exhausted.
 	s.Reset()
 	ls := newSegLane(r, h, p, energy.PrecostRuns(r.Model, s.Runs()))
-	for ls.step() {
-	}
+	foldLanes([]*segLane{ls})
 	return ls.res, ls.err
 }
 
@@ -536,10 +668,10 @@ func (r *Runner) runSegments(s RunStream, h *power.Harvester, p power.ConstantPl
 // call in isolation.
 //
 // Unobserved lanes that qualify for the segment engine (RunStream and
-// segmentPlan) share one precosting pass and advance round-robin, one
-// retired instruction per turn, so their serial sqrt/divide voltage
-// chains overlap in the out-of-order core: the sweep folds at
-// divider-throughput instead of chain-latency. Everything else runs as
+// segmentPlan) share one precosting pass and one kernel, which retires
+// one instruction per lane per pass, so their serial sqrt/divide
+// voltage chains overlap in the out-of-order core: the sweep folds at
+// divider throughput instead of chain latency. Everything else runs as
 // sequential r.Run calls with unchanged semantics; an observed sweep
 // thus still takes the segment engine for a probe.BulkObserver, one
 // lane after another, so a shared observer sees each lane's events in
@@ -569,19 +701,7 @@ func (r *Runner) RunSweep(s OpStream, hs []*power.Harvester) ([]Result, []error)
 		rest = append(rest, i)
 	}
 
-	// Compaction below reorders the active set in place, so it works on
-	// a copy; lanes keeps the finished order for the result copy-out.
-	active := append([]*segLane(nil), lanes...)
-	for len(active) > 0 {
-		n := 0
-		for _, ls := range active {
-			if ls.step() {
-				active[n] = ls
-				n++
-			}
-		}
-		active = active[:n]
-	}
+	foldLanes(lanes)
 	for _, ls := range lanes {
 		results[ls.idx], errs[ls.idx] = ls.res, ls.err
 	}
