@@ -502,7 +502,7 @@ func BenchmarkTraceSimThroughput(b *testing.B) {
 	ops[0] = energy.Op{Kind: isa.KindAct, ActCols: 1024}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := r.RunContinuous(&sim.SliceStream{Ops: ops})
+		res := r.RunContinuous(sim.StreamOf(ops))
 		if res.Instructions != 10000 {
 			b.Fatal("wrong op count")
 		}

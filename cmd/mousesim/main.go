@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"mouse/internal/array"
+	"mouse/internal/cliflag"
 	"mouse/internal/controller"
 	"mouse/internal/isa"
 	"mouse/internal/lint"
@@ -50,6 +51,9 @@ func run(args []string, stdout io.Writer) error {
 	capF := fs.Float64("cap", 0, "capacitor override in farads (0 = technology default)")
 	dump := fs.String("dump", "", "print bits after the run: tile:rowFirst:rowLast:col")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := cliflag.CheckFinite(fs); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {

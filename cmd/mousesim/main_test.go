@@ -116,3 +116,18 @@ func TestRunErrors(t *testing.T) {
 		t.Errorf("out-of-range dump accepted")
 	}
 }
+
+// TestNonFiniteFloatFlags: a NaN or infinite -power or -cap fails with
+// an error naming the flag, instead of taking the flag's 0 = continuous
+// or default meaning.
+func TestNonFiniteFloatFlags(t *testing.T) {
+	img := writeImage(t, t.TempDir())
+	for _, flagName := range []string{"-power", "-cap"} {
+		for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+			err := run([]string{flagName, v, "-tiles", "2", img}, &bytes.Buffer{})
+			if err == nil || !strings.Contains(err.Error(), flagName) {
+				t.Errorf("%s %s: got %v, want an error naming %s", flagName, v, err, flagName)
+			}
+		}
+	}
+}

@@ -37,6 +37,7 @@ import (
 	"os"
 	"strings"
 
+	"mouse/internal/cliflag"
 	"mouse/internal/energy"
 	"mouse/internal/mtj"
 	"mouse/internal/power"
@@ -72,6 +73,9 @@ func run(args []string, stdout io.Writer) error {
 	outPath := fs.String("out", "", "trace output path (default derived from the workload name)")
 	statsPath := fs.String("stats", "", "also write the probe telemetry section to this file as JSON")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := cliflag.CheckFinite(fs); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {

@@ -239,3 +239,20 @@ func TestTraceSourceEndOfTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteFloatFlags: a NaN or infinite -power, -period, -cap or
+// -vsample fails with an error naming the flag before any run.
+func TestNonFiniteFloatFlags(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out.trace.json")
+	for _, flagName := range []string{"-power", "-period", "-cap", "-vsample"} {
+		for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+			args := []string{"-workload", "SVM ADULT", "-out", out, flagName, v}
+			if err := run(args, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), flagName) {
+				t.Errorf("%s %s: got %v, want an error naming %s", flagName, v, err, flagName)
+			}
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a rejected flag still wrote %s (stat: %v)", out, err)
+	}
+}

@@ -51,6 +51,7 @@ import (
 	"os"
 	"strings"
 
+	"mouse/internal/cliflag"
 	"mouse/internal/isa"
 	"mouse/internal/lint"
 	"mouse/internal/mtj"
@@ -97,6 +98,9 @@ func run(args []string, stdout, stderr io.Writer) (int, error) {
 	interval := fs.Int("interval", 1, "checkpoint interval verified by the replay and wce rules")
 	cert := fs.Bool("cert", false, "emit the per-region worst-case-energy certificate")
 	if err := fs.Parse(args); err != nil {
+		return 0, err
+	}
+	if err := cliflag.CheckFinite(fs); err != nil {
 		return 0, err
 	}
 

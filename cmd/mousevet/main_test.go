@@ -269,3 +269,18 @@ func TestParseErrorHasLine(t *testing.T) {
 		t.Errorf("want error mentioning %s:2:, got %v", bad, err)
 	}
 }
+
+// TestNonFiniteFloatFlags: a NaN or infinite -cap fails with an error
+// naming the flag, with and without -cert, instead of certifying the
+// default capacitor or failing to encode an infinite window.
+func TestNonFiniteFloatFlags(t *testing.T) {
+	for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+		for _, extra := range [][]string{nil, {"-cert", "-json"}} {
+			args := append(append([]string{"-cap", v}, extra...), "testdata/clean.s")
+			var out bytes.Buffer
+			if _, err := run(args, &out, &out); err == nil || !strings.Contains(err.Error(), "-cap") {
+				t.Errorf("%v: got %v, want an error naming -cap", args, err)
+			}
+		}
+	}
+}

@@ -10,8 +10,9 @@ import (
 // benchmark sweep, the Figs. 10–12 breakdowns, the checkpoint and FFT
 // sweeps, Table IV's per-benchmark runs) executes its cells as
 // independent jobs on a bounded worker pool. Each job owns all mutable
-// state it touches — its sim.Runner, power.Harvester, and OpStream — so
-// jobs never share anything but read-only inputs, and results land in a
+// state it touches — its sim.Runner and power.Harvester — so jobs never
+// share anything but read-only inputs, among them the memoized
+// sim.RunStream every job of a benchmark runs, and results land in a
 // slice indexed by job number, making the output order (and therefore
 // every table and JSON report) independent of goroutine scheduling.
 

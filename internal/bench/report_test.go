@@ -130,25 +130,72 @@ func TestNormalizeStripsRunEnvironment(t *testing.T) {
 	}
 	seg.Normalize()
 	decoded.Normalize()
-	// Decoded rows are maps, which encode with sorted keys; compare the
-	// two encodings in that canonical form.
-	canonical := func(rep *Report) string {
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var generic any
-		if err := json.Unmarshal(buf.Bytes(), &generic); err != nil {
-			t.Fatal(err)
-		}
-		out, err := json.Marshal(generic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(out)
-	}
-	if got, want := canonical(&decoded), canonical(seg); got != want {
+	if got, want := canonicalJSON(t, &decoded), canonicalJSON(t, seg); got != want {
 		t.Errorf("decoded report normalizes differently:\n got %s\nwant %s", got, want)
+	}
+}
+
+// canonicalJSON is rep's JSON with every object's keys sorted, indented:
+// decoded rows are maps, which encode with sorted keys, so an in-memory
+// report and one decoded from a file compare in this form.
+func canonicalJSON(t *testing.T, rep *Report) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var generic any
+	if err := json.Unmarshal(buf.Bytes(), &generic); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.MarshalIndent(generic, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestReportMatchesNewestBench pins the simulation output: the "all"
+// report, normalized, must equal the normalized newest BENCH_N.json
+// byte for byte (in canonical JSON). A change that moves simulation
+// output on purpose commits the next BENCH_N.json with it, which
+// TestBenchTrajectory keeps contiguous.
+func TestReportMatchesNewestBench(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := fmt.Sprintf("BENCH_%d.json", len(paths)-1)
+	data, err := os.ReadFile(filepath.Join("../..", newest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned Report
+	if err := json.Unmarshal(data, &pinned); err != nil {
+		t.Fatalf("%s: %v", newest, err)
+	}
+	rep, err := BuildReport("all", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned.Normalize()
+	rep.Normalize()
+	got, want := canonicalJSON(t, rep), canonicalJSON(t, &pinned)
+	if got == want {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("normalized report differs from %s at canonical line %d:\n got %q\nwant %q", newest, i+1, g, w)
+		}
 	}
 }
 

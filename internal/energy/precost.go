@@ -114,8 +114,8 @@ type OpRun struct {
 // assembled from them is bit-identical to calling the Model on every
 // instruction.
 type RunCosts struct {
-	// Runs is the compacted encoding: empty runs dropped, adjacent
-	// equal-operation runs merged.
+	// Runs is the encoding the costs price, as PrecostRuns was given
+	// it (not a copy).
 	Runs []OpRun
 
 	// Compute and Backup are each run's per-operation Energy and Backup
@@ -129,28 +129,19 @@ type RunCosts struct {
 }
 
 // PrecostRuns prices a run-length encoded stream under m through a
-// Prices table, so the model runs only on a table miss. Runs with
-// non-positive counts are dropped and adjacent runs of the same
-// operation merge, so the tables are as small as the stream allows.
+// Prices table, so the model runs only on a table miss. runs must be
+// the compact encoding a sim.RunStream returns (every Count > 0, no two
+// adjacent runs equal); the result keeps it as Runs, read-only.
 func PrecostRuns(m *Model, runs []OpRun) *RunCosts {
-	c := &RunCosts{}
-	for _, r := range runs {
-		if r.Count <= 0 {
-			continue
-		}
-		if n := len(c.Runs); n > 0 && c.Runs[n-1].Op == r.Op {
-			c.Runs[n-1].Count += r.Count
-			continue
-		}
-		c.Runs = append(c.Runs, r)
+	n := len(runs)
+	f := make([]float64, 3*n)
+	c := &RunCosts{
+		Runs:    runs,
+		Compute: f[:n:n], Backup: f[n : 2*n : 2*n], Total: f[2*n:],
+		Level: make([]int, n),
 	}
-	n := len(c.Runs)
-	c.Compute = make([]float64, n)
-	c.Backup = make([]float64, n)
-	c.Total = make([]float64, n)
-	c.Level = make([]int, n)
 	prices := NewPrices(m)
-	for i, r := range c.Runs {
+	for i, r := range runs {
 		p := prices.Of(r.Op)
 		c.Compute[i], c.Backup[i], c.Level[i] = p.Compute, p.Backup, p.Level
 		c.Total[i] = p.Compute + p.Backup

@@ -7,23 +7,26 @@ import (
 	"mouse/internal/mtj"
 )
 
-func TestPrecostRunsCompacts(t *testing.T) {
+// PrecostRuns prices the encoding it is given, run for run, and keeps
+// that slice as Runs instead of copying it.
+func TestPrecostRunsKeepsInput(t *testing.T) {
 	m := NewModel(mtj.ModernSTT())
-	read := Op{Kind: isa.KindRead, ActivePairs: 64}
-	write := Op{Kind: isa.KindWrite, ActivePairs: 64}
-	c := PrecostRuns(m, []OpRun{
-		{Op: read, Count: 3},
-		{Op: read, Count: 2},  // merges with previous
-		{Op: write, Count: 0}, // dropped
-		{Op: write, Count: -1},
-		{Op: write, Count: 4},
-		{Op: read, Count: 1},
-	})
-	if len(c.Runs) != 3 {
-		t.Fatalf("got %d runs, want 3: %+v", len(c.Runs), c.Runs)
+	runs := []OpRun{
+		{Op: Op{Kind: isa.KindRead, ActivePairs: 64}, Count: 5},
+		{Op: Op{Kind: isa.KindWrite, ActivePairs: 64}, Count: 4},
+		{Op: Op{Kind: isa.KindRead, ActivePairs: 64}, Count: 1},
 	}
-	if c.Runs[0].Count != 5 || c.Runs[1].Count != 4 || c.Runs[2].Count != 1 {
-		t.Fatalf("counts = %d,%d,%d, want 5,4,1", c.Runs[0].Count, c.Runs[1].Count, c.Runs[2].Count)
+	c := PrecostRuns(m, runs)
+	if len(c.Runs) != len(runs) || &c.Runs[0] != &runs[0] {
+		t.Fatalf("Runs is not the input slice: %+v", c.Runs)
+	}
+	for _, col := range [][]float64{c.Compute, c.Backup, c.Total} {
+		if len(col) != len(runs) || cap(col) != len(runs) {
+			t.Fatalf("price column has len %d cap %d, want %d", len(col), cap(col), len(runs))
+		}
+	}
+	if len(c.Level) != len(runs) {
+		t.Fatalf("Level has %d entries, want %d", len(c.Level), len(runs))
 	}
 }
 

@@ -89,9 +89,10 @@ func CrossValidate(w Workload, opts Options) (*CrossResult, error) {
 	// certificate's feasibility verdict. The constant source makes the
 	// stream eligible for the analytic segment engine, so this run also
 	// exercises the fast path...
+	s := sim.StreamFromProgram(w.Prog, w.Tiles)
 	h := power.NewHarvester(power.Constant{W: chargeWatts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 	runner := sim.NewRunner(w.model())
-	res, runErr := runner.Run(sim.StreamFromProgram(w.Prog, w.Tiles), h)
+	res, runErr := runner.Run(s, h)
 	r.SimCompleted = runErr == nil && res.Completed
 	r.SimErr = runErr
 
@@ -100,7 +101,7 @@ func CrossValidate(w Workload, opts Options) (*CrossResult, error) {
 	hStep := power.NewHarvester(power.Constant{W: chargeWatts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 	stepper := sim.NewRunner(w.model())
 	stepper.ForceStepping = true
-	stepRes, stepErr := stepper.Run(sim.StreamFromProgram(w.Prog, w.Tiles), hStep)
+	stepRes, stepErr := stepper.Run(s, hStep)
 	switch {
 	case (runErr == nil) != (stepErr == nil),
 		runErr != nil && stepErr != nil && runErr.Error() != stepErr.Error():
@@ -126,6 +127,7 @@ func CrossValidate(w Workload, opts Options) (*CrossResult, error) {
 // thinned intervals, and a single region spanning the program.
 func intervalVerdicts(w Workload, lopts lint.Options, runner *sim.Runner) ([]IntervalVerdict, error) {
 	cfg := w.Cfg
+	s := sim.StreamFromProgram(w.Prog, w.Tiles)
 	var vs []IntervalVerdict
 	for _, k := range []int{1, 8, 64, len(w.Prog) + 1} {
 		lopts.CheckpointInterval = k
@@ -134,7 +136,7 @@ func intervalVerdicts(w Workload, lopts lint.Options, runner *sim.Runner) ([]Int
 			return nil, fmt.Errorf("fault: certifying %s at interval %d: %w", w.Name, k, err)
 		}
 		h := power.NewHarvester(power.Constant{W: chargeWatts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-		res, err := runner.RunWithCheckpointInterval(sim.StreamFromProgram(w.Prog, w.Tiles), h, k)
+		res, err := runner.RunWithCheckpointInterval(s, h, k)
 		vs = append(vs, IntervalVerdict{
 			Interval: k, Feasible: cert.Feasible, Completed: err == nil && res.Completed, Err: err,
 		})

@@ -19,8 +19,9 @@
 //   - The bit-accurate machine layer: a real controller over an
 //     array.Machine, outages injected at the exact µ-phase where the
 //     energy ran out. State equivalence is checked cell by cell.
-//   - The trace layer: the same program as an analytic OpStream, where
-//     equivalence means identical committed work and bounded dead energy.
+//   - The trace layer: the same program as an analytic sim.RunStream,
+//     where equivalence means identical committed work and bounded dead
+//     energy.
 //
 // The adversarial supply is Injector: a power.Source pre-charged with
 // exactly enough energy to die at the scheduled point, recovering the

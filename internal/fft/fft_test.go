@@ -251,14 +251,11 @@ func TestWorkloadOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		n++
+	var n int64
+	for _, r := range s.Runs() {
+		n += r.Count
 	}
-	if n != len(ops) {
+	if n != int64(len(ops)) {
 		t.Errorf("stream yields %d ops, want %d", n, len(ops))
 	}
 }

@@ -52,13 +52,13 @@ func Ops(p Params) ([]energy.Op, error) {
 	return ops, nil
 }
 
-// Stream returns the workload as an OpStream.
-func Stream(p Params) (sim.OpStream, error) {
+// Stream returns the workload as a stream, encoded once here.
+func Stream(p Params) (sim.RunStream, error) {
 	ops, err := Ops(p)
 	if err != nil {
 		return nil, err
 	}
-	return &sim.SliceStream{Ops: ops}, nil
+	return sim.StreamOf(ops), nil
 }
 
 // Reference latencies from the paper's Section X, in seconds.

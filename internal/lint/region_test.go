@@ -363,12 +363,8 @@ func TestCertifyMatchesSimPricing(t *testing.T) {
 	m := energy.NewModel(mtj.ModernSTT())
 	s := sim.StreamFromProgram(prog, opts.geometry().Tiles)
 	var want float64
-	for {
-		op, ok := s.Next()
-		if !ok {
-			break
-		}
-		want += m.Energy(op) + m.Backup(op)
+	for _, r := range s.Runs() {
+		want += float64(r.Count) * (m.Energy(r.Op) + m.Backup(r.Op))
 	}
 	var got float64
 	for _, rc := range cert.Regions {

@@ -37,7 +37,7 @@ func TestNonFiniteHarvesterTerminates(t *testing.T) {
 			r.ForceStepping = engine == "stepping"
 			var err error
 			withDeadline(t, 5*time.Second, func() {
-				s := &SliceStream{Ops: opsFixture(2000)}
+				s := StreamOf(opsFixture(2000))
 				if engine != "sweep" {
 					_, err = r.Run(s, mk())
 					return

@@ -23,7 +23,7 @@ func TestMaxParallelColumnsWorkloadCompletes(t *testing.T) {
 				energy.Op{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: cols})
 		}
 		r := NewRunner(m)
-		if _, err := r.Run(&SliceStream{Ops: ops}, harvester(cfg, 60e-6)); err != nil {
+		if _, err := r.Run(StreamOf(ops), harvester(cfg, 60e-6)); err != nil {
 			t.Fatalf("%s: sized workload failed dynamically: %v", cfg.Name, err)
 		}
 	}
@@ -49,16 +49,16 @@ func TestMaxParallelColumns(t *testing.T) {
 	}
 }
 
-// nandStream is ModernSTT's checkpoint-interval workload: an ACT over
+// nandOps is ModernSTT's checkpoint-interval workload: an ACT over
 // 8192 columns, then NAND2s over 8192 pairs, n ops in all. One discharge
 // window at 60 µW holds about 1229 of them.
-func nandStream(n int) *SliceStream {
+func nandOps(n int) []energy.Op {
 	ops := make([]energy.Op, n)
 	for i := range ops {
 		ops[i] = energy.Op{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 8192}
 	}
 	ops[0] = energy.Op{Kind: isa.KindAct, ActCols: 8192}
-	return &SliceStream{Ops: ops}
+	return ops
 }
 
 // withDeadline runs f and fails the test if it has not returned within
@@ -85,7 +85,7 @@ func TestCheckpointIntervalTradeoff(t *testing.T) {
 	r := NewRunner(m)
 	var prevBackup, prevDead float64
 	for i, interval := range []int{1, 8, 64} {
-		res, err := r.RunWithCheckpointInterval(nandStream(3000), harvester(cfg, 60e-6), interval)
+		res, err := r.RunWithCheckpointInterval(StreamOf(nandOps(3000)), harvester(cfg, 60e-6), interval)
 		if err != nil {
 			t.Fatalf("interval %d: %v", interval, err)
 		}
@@ -114,7 +114,7 @@ func TestCheckpointIntervalBeyondWindow(t *testing.T) {
 		var res Result
 		var err error
 		withDeadline(t, 10*time.Second, func() {
-			res, err = r.RunWithCheckpointInterval(nandStream(3000), harvester(cfg, 60e-6), interval)
+			res, err = r.RunWithCheckpointInterval(StreamOf(nandOps(3000)), harvester(cfg, 60e-6), interval)
 		})
 		if !errors.Is(err, ErrNonTermination) {
 			t.Errorf("interval %d: got %v, want ErrNonTermination", interval, err)
@@ -127,7 +127,19 @@ func TestCheckpointIntervalBeyondWindow(t *testing.T) {
 
 func TestCheckpointIntervalValidates(t *testing.T) {
 	r := NewRunner(energy.NewModel(mtj.ModernSTT()))
-	if _, err := r.RunWithCheckpointInterval(&SliceStream{}, nil, 0); err == nil {
+	if _, err := r.RunWithCheckpointInterval(StreamOf(nil), nil, 0); err == nil {
 		t.Fatalf("interval 0 accepted")
+	}
+}
+
+// TestBadCheckpointInterval: interval < 1 fails typed.
+func TestBadCheckpointInterval(t *testing.T) {
+	cfg := mtj.ModernSTT()
+	r := NewRunner(energy.NewModel(cfg))
+	for _, interval := range []int{0, -1, -100} {
+		_, err := r.RunWithCheckpointInterval(StreamOf(opsFixture(5)), harvester(cfg, 60e-6), interval)
+		if !errors.Is(err, ErrBadInterval) {
+			t.Fatalf("interval %d: got %v, want ErrBadInterval", interval, err)
+		}
 	}
 }

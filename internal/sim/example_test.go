@@ -24,7 +24,7 @@ func ExampleRunner_Run() {
 			energy.Op{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 128})
 	}
 	h := power.NewHarvester(power.Constant{W: 60e-6}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-	res, err := r.Run(&sim.SliceStream{Ops: ops}, h)
+	res, err := r.Run(sim.StreamOf(ops), h)
 	if err != nil {
 		log.Fatal(err)
 	}

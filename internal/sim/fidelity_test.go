@@ -316,7 +316,7 @@ func TestLevelSwitchCounting(t *testing.T) {
 			energy.Op{Kind: isa.KindPreset, ActivePairs: 4},
 			energy.Op{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 4})
 	}
-	res := r.RunContinuous(&SliceStream{Ops: ops})
+	res := r.RunContinuous(StreamOf(ops))
 	if res.LevelSwitches == 0 {
 		t.Fatalf("alternating preset/logic stream recorded no level switches")
 	}

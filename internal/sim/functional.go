@@ -172,41 +172,21 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 	return run.step(controllerTarget{r.C}, h, 1)
 }
 
-// StreamFromProgram turns a concrete program into an OpStream by
+// StreamFromProgram encodes a concrete program as a RunStream by
 // tracking the activation state analytically (without simulating cell
 // contents): ACT instructions update the active set; logic and preset
 // operations are priced at the resulting (tile, column) parallelism.
-// nTiles is the machine's data-tile count.
-func StreamFromProgram(p isa.Program, nTiles int) OpStream {
-	return &programStream{p: p, nTiles: nTiles}
-}
-
-type programStream struct {
-	p      isa.Program
-	nTiles int
-	pos    int
-	pairs  int // current active (tile, column) pairs
-}
-
-func (s *programStream) Reset() { s.pos, s.pairs = 0, 0 }
-
-func (s *programStream) Next() (energy.Op, bool) {
-	if s.pos >= len(s.p) {
-		return energy.Op{}, false
+// nTiles is the machine's data-tile count. The program is encoded
+// once, here.
+func StreamFromProgram(p isa.Program, nTiles int) RunStream {
+	var s runStream
+	pairs := 0 // current active (tile, column) pairs
+	for _, in := range p {
+		cols := actCols(in, nTiles)
+		if in.Kind == isa.KindAct {
+			pairs = cols
+		}
+		s = s.add(energy.OpOf(in, pairs, cols), 1)
 	}
-	in := s.p[s.pos]
-	s.pos++
-	cols := actCols(in, s.nTiles)
-	if in.Kind == isa.KindAct {
-		s.pairs = cols
-	}
-	return energy.OpOf(in, s.pairs, cols), true
-}
-
-// Runs implements RunStream by replaying a fresh clone of the stream —
-// the activation tracking makes the op sequence stateful, so the
-// encoding is derived from the same Next() the stepping path would see.
-func (s *programStream) Runs() []energy.OpRun {
-	clone := &programStream{p: s.p, nTiles: s.nTiles}
-	return encodeRuns(clone.Next)
+	return s
 }

@@ -131,7 +131,7 @@ func TestObserverDoesNotPerturbTraceRun(t *testing.T) {
 			h := power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 			h.Obs = obs
 			h.SampleEvery = 1e-3
-			res, err := r.Run(&SliceStream{Ops: ops}, h)
+			res, err := r.Run(StreamOf(ops), h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,10 +160,10 @@ func TestObserverDoesNotPerturbTraceRun(t *testing.T) {
 func TestNopObserverAddsNoAllocations(t *testing.T) {
 	cfg := mtj.ModernSTT()
 	ops := randomOps(rand.New(rand.NewSource(5)), 300)
-	s := &SliceStream{Ops: ops}
+	s := StreamOf(ops)
 	r := NewRunner(energy.NewModel(cfg))
 
-	runCont := func() { s.Reset(); r.RunContinuous(s) }
+	runCont := func() { r.RunContinuous(s) }
 	base := testing.AllocsPerRun(50, runCont)
 	r.Obs = probe.Nop{}
 	if got := testing.AllocsPerRun(50, runCont); got != base {
@@ -171,7 +171,6 @@ func TestNopObserverAddsNoAllocations(t *testing.T) {
 	}
 
 	runInt := func() {
-		s.Reset()
 		h := power.NewHarvester(power.Constant{W: 500e-6}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 		if _, err := r.Run(s, h); err != nil {
 			t.Fatal(err)
@@ -222,7 +221,7 @@ func TestReplaysNeverExceedRestarts(t *testing.T) {
 		ops := randomOps(rng, 200+rng.Intn(1000))
 		r := NewRunner(energy.NewModel(cfg))
 		h := power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-		res, err := r.Run(&SliceStream{Ops: ops}, h)
+		res, err := r.Run(StreamOf(ops), h)
 		if err != nil {
 			t.Fatalf("trial %d (%s, %.3g W): %v", trial, cfg.Name, watts, err)
 		}

@@ -53,7 +53,7 @@ func TestEnergyConservationProperty(t *testing.T) {
 		r := NewRunner(energy.NewModel(cfg))
 		h := power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 
-		res, err := r.Run(&SliceStream{Ops: ops}, h)
+		res, err := r.Run(StreamOf(ops), h)
 		if err != nil && !errors.Is(err, ErrNonTermination) {
 			t.Fatalf("trial %d (%s, %.3g W): %v", trial, cfg.Name, watts, err)
 		}
@@ -91,7 +91,7 @@ func TestEnergyConservationCheckpointed(t *testing.T) {
 		var res Result
 		var err error
 		withDeadline(t, 10*time.Second, func() {
-			res, err = r.RunWithCheckpointInterval(&SliceStream{Ops: ops}, h, interval)
+			res, err = r.RunWithCheckpointInterval(StreamOf(ops), h, interval)
 		})
 		if err != nil && !errors.Is(err, ErrNonTermination) {
 			t.Fatalf("interval %d: %v", interval, err)
@@ -136,8 +136,8 @@ func TestInfinitePowerMatchesContinuous(t *testing.T) {
 		ops := randomOps(rng, 2000)
 		r := NewRunner(energy.NewModel(cfg))
 
-		cont := r.RunContinuous(&SliceStream{Ops: ops})
-		res, err := r.Run(&SliceStream{Ops: ops}, infiniteHarvester(cfg))
+		cont := r.RunContinuous(StreamOf(ops))
+		res, err := r.Run(StreamOf(ops), infiniteHarvester(cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}

@@ -650,25 +650,13 @@ func (k *segKernel) exit(i int, committed bool) {
 	}
 }
 
-// runSegments is Run's analytic fast path, for the runs segmentPlan
-// admits: a kernel of one lane.
-func (r *Runner) runSegments(s RunStream, h *power.Harvester, p power.ConstantPlan) (Result, error) {
-	// Parity with the stepping path's entry/exit stream contract: start
-	// from the beginning. The engine reads Runs() instead of Next(), so
-	// the stream stays rewound rather than exhausted.
-	s.Reset()
-	ls := newSegLane(r, h, p, energy.PrecostRuns(r.Model, s.Runs()))
-	foldLanes([]*segLane{ls})
-	return ls.res, ls.err
-}
-
 // RunSweep executes the same stream once per harvester — the shape of
 // every power-grid experiment — and returns the per-harvester Results
 // and errors, each bit-identical to the corresponding r.Run(s, hs[i])
 // call in isolation.
 //
-// Unobserved lanes that qualify for the segment engine (RunStream and
-// segmentPlan) share one precosting pass and one kernel, which retires
+// Unobserved lanes that qualify for the segment engine (segmentPlan)
+// share one precosting pass and one kernel, which retires
 // one instruction per lane per pass, so their serial sqrt/divide
 // voltage chains overlap in the out-of-order core: the sweep folds at
 // divider throughput instead of chain latency. Everything else runs as
@@ -676,21 +664,19 @@ func (r *Runner) runSegments(s RunStream, h *power.Harvester, p power.ConstantPl
 // thus still takes the segment engine for a probe.BulkObserver, one
 // lane after another, so a shared observer sees each lane's events in
 // the order an isolated run emits them.
-func (r *Runner) RunSweep(s OpStream, hs []*power.Harvester) ([]Result, []error) {
+func (r *Runner) RunSweep(s RunStream, hs []*power.Harvester) ([]Result, []error) {
 	results := make([]Result, len(hs))
 	errs := make([]error, len(hs))
 
 	var lanes []*segLane
 	var rest []int
-	rs, isRuns := s.(RunStream)
-	interleave := isRuns && !probe.Enabled(r.Obs)
+	interleave := !probe.Enabled(r.Obs)
 	var costs *energy.RunCosts
 	for i, h := range hs {
 		if interleave {
 			if plan, ok := r.segmentPlan(h); ok {
 				if costs == nil {
-					rs.Reset()
-					costs = energy.PrecostRuns(r.Model, rs.Runs())
+					costs = energy.PrecostRuns(r.Model, s.Runs())
 				}
 				ls := newSegLane(r, h, plan, costs)
 				ls.idx = i

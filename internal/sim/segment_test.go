@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -16,25 +17,13 @@ import (
 	"mouse/internal/probe"
 )
 
-// spyStream wraps SliceStream and counts which access path an engine
-// used: the stepping path consumes Next(), the segment engine reads
-// Runs(). This distinguishes the engines structurally, without relying
-// on their outputs differing (they must not).
-type spyStream struct {
-	SliceStream
-	nexts, runs int
-}
-
-func (s *spyStream) Next() (energy.Op, bool) { s.nexts++; return s.SliceStream.Next() }
-func (s *spyStream) Runs() []energy.OpRun    { s.runs++; return s.SliceStream.Runs() }
-
 // steppingResult reruns the stream on a fresh harvester with the
 // segment engine disabled.
 func steppingResult(t *testing.T, r *Runner, ops []energy.Op, mk func() *power.Harvester) (Result, error) {
 	t.Helper()
 	forced := *r
 	forced.ForceStepping = true
-	return forced.Run(&SliceStream{Ops: ops}, mk())
+	return forced.Run(StreamOf(ops), mk())
 }
 
 // requireIdentical fails unless the two results are bit-identical and
@@ -64,67 +53,63 @@ func requireSameTelemetry(t *testing.T, label string, r *Runner, ops []energy.Op
 	step := seg
 	step.Obs = stepStats
 	step.ForceStepping = true
-	segRes, segErr := seg.Run(&SliceStream{Ops: ops}, mk())
-	stepRes, stepErr := step.Run(&SliceStream{Ops: ops}, mk())
+	segRes, segErr := seg.Run(StreamOf(ops), mk())
+	stepRes, stepErr := step.Run(StreamOf(ops), mk())
 	requireIdentical(t, label+" (observed)", segRes, stepRes, segErr, stepErr)
 	if a, b := segStats.Section(), stepStats.Section(); !reflect.DeepEqual(a, b) {
 		t.Errorf("%s: segment telemetry diverges from stepping\nsegment:  %+v\nstepping: %+v", label, a, b)
 	}
 }
 
-// TestSegmentPathSelection verifies the automatic fast/slow split:
-// constant power with no observer, or with a bulk observer such as
-// probe.Stats, takes the segment engine; traces, other observers,
-// voltage sampling, and ForceStepping all keep the stepping path.
+// TestSegmentPathSelection verifies the automatic fast/slow split
+// through segmentPlan, the predicate Run dispatches on: constant power
+// with no observer, or with a bulk observer such as probe.Stats, takes
+// the segment engine; traces, other observers, voltage sampling, and
+// ForceStepping all keep the stepping path. Whichever path a case
+// takes, its Result must equal a forced stepping run's.
 func TestSegmentPathSelection(t *testing.T) {
 	cfg := mtj.ModernSTT()
 	ops := randomOps(rand.New(rand.NewSource(3)), 300)
 	mkConst := func() *power.Harvester {
 		return power.NewHarvester(power.Constant{W: 60e-6}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 	}
+	mkSampled := func() *power.Harvester {
+		h := mkConst()
+		h.Obs = &probe.Stats{}
+		h.SampleEvery = 1e-6
+		return h
+	}
+	mkSolar := func() *power.Harvester {
+		return power.NewHarvester(power.Solar{Peak: 5e-3, Period: 2}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
+	}
+	runner := func(obs probe.Observer, forced bool) *Runner {
+		r := NewRunner(energy.NewModel(cfg))
+		r.Obs, r.ForceStepping = obs, forced
+		return r
+	}
 
-	run := func(t *testing.T, r *Runner, h *power.Harvester) *spyStream {
-		t.Helper()
-		s := &spyStream{SliceStream: SliceStream{Ops: ops}}
-		if _, err := r.Run(s, h); err != nil {
-			t.Fatalf("run: %v", err)
+	for _, c := range []struct {
+		name    string
+		r       *Runner
+		mk      func() *power.Harvester
+		segment bool
+	}{
+		{"constant source", runner(nil, false), mkConst, true},
+		{"Stats observer", runner(&probe.Stats{}, false), mkConst, true},
+		{"ForceStepping", runner(nil, true), mkConst, false},
+		{"Stats plus trace writer", runner(probe.Multi{&probe.Stats{}, probe.NewTraceWriter(io.Discard)}, false), mkConst, false},
+		{"voltage sampling", runner(nil, false), mkSampled, false},
+		{"solar source", runner(nil, false), mkSolar, false},
+	} {
+		if _, segment := c.r.segmentPlan(c.mk()); segment != c.segment {
+			t.Errorf("%s: segment path %v, want %v", c.name, segment, c.segment)
 		}
-		return s
-	}
-
-	r := NewRunner(energy.NewModel(cfg))
-	if s := run(t, r, mkConst()); s.runs == 0 || s.nexts != 0 {
-		t.Errorf("constant source: nexts=%d runs=%d, want segment path (runs>0, nexts=0)", s.nexts, s.runs)
-	}
-
-	forced := NewRunner(energy.NewModel(cfg))
-	forced.ForceStepping = true
-	if s := run(t, forced, mkConst()); s.runs != 0 || s.nexts == 0 {
-		t.Errorf("ForceStepping: nexts=%d runs=%d, want stepping path", s.nexts, s.runs)
-	}
-
-	observed := NewRunner(energy.NewModel(cfg))
-	observed.Obs = &probe.Stats{}
-	if s := run(t, observed, mkConst()); s.runs == 0 || s.nexts != 0 {
-		t.Errorf("Stats observer: nexts=%d runs=%d, want segment path", s.nexts, s.runs)
-	}
-
-	traced := NewRunner(energy.NewModel(cfg))
-	traced.Obs = probe.Multi{&probe.Stats{}, probe.NewTraceWriter(io.Discard)}
-	if s := run(t, traced, mkConst()); s.runs != 0 || s.nexts == 0 {
-		t.Errorf("Stats plus trace writer: nexts=%d runs=%d, want stepping path", s.nexts, s.runs)
-	}
-
-	sampled := mkConst()
-	sampled.Obs = &probe.Stats{}
-	sampled.SampleEvery = 1e-6
-	if s := run(t, NewRunner(energy.NewModel(cfg)), sampled); s.runs != 0 || s.nexts == 0 {
-		t.Errorf("voltage sampling: nexts=%d runs=%d, want stepping path", s.nexts, s.runs)
-	}
-
-	solar := power.NewHarvester(power.Solar{Peak: 5e-3, Period: 2}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-	if s := run(t, NewRunner(energy.NewModel(cfg)), solar); s.runs != 0 || s.nexts == 0 {
-		t.Errorf("solar source: nexts=%d runs=%d, want stepping path", s.nexts, s.runs)
+		got, err := c.r.Run(StreamOf(ops), c.mk())
+		if err != nil {
+			t.Fatalf("%s: run: %v", c.name, err)
+		}
+		want, wantErr := steppingResult(t, c.r, ops, c.mk)
+		requireIdentical(t, c.name, got, want, err, wantErr)
 	}
 }
 
@@ -144,7 +129,7 @@ func TestSegmentMatchesSteppingRandom(t *testing.T) {
 			return power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 		}
 
-		seg, segErr := r.Run(&SliceStream{Ops: ops}, mk())
+		seg, segErr := r.Run(StreamOf(ops), mk())
 		step, stepErr := steppingResult(t, r, ops, mk)
 		requireIdentical(t, cfg.Name, seg, step, segErr, stepErr)
 		if t.Failed() {
@@ -166,12 +151,12 @@ func TestSegmentFinalVoltageMatchesStepping(t *testing.T) {
 	}
 
 	hSeg, hStep := mk(), mk()
-	if _, err := r.Run(&SliceStream{Ops: ops}, hSeg); err != nil {
+	if _, err := r.Run(StreamOf(ops), hSeg); err != nil {
 		t.Fatalf("segment: %v", err)
 	}
 	forced := *r
 	forced.ForceStepping = true
-	if _, err := forced.Run(&SliceStream{Ops: ops}, hStep); err != nil {
+	if _, err := forced.Run(StreamOf(ops), hStep); err != nil {
 		t.Fatalf("stepping: %v", err)
 	}
 	if hSeg.Cap.Voltage() != hStep.Cap.Voltage() {
@@ -220,7 +205,7 @@ func TestSegmentNonTerminationParity(t *testing.T) {
 		var seg, step Result
 		var segErr, stepErr error
 		withDeadline(t, 10*time.Second, func() {
-			seg, segErr = r.Run(&SliceStream{Ops: c.ops}, c.mk())
+			seg, segErr = r.Run(StreamOf(c.ops), c.mk())
 			step, stepErr = steppingResult(t, r, c.ops, c.mk)
 		})
 		if !errors.Is(segErr, ErrNonTermination) {
@@ -247,7 +232,7 @@ func TestSegmentChargeWaitParity(t *testing.T) {
 	mk := func() *power.Harvester {
 		return power.NewHarvester(power.Constant{W: 10e-6}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 	}
-	seg, segErr := r.Run(&SliceStream{Ops: ops}, mk())
+	seg, segErr := r.Run(StreamOf(ops), mk())
 	step, stepErr := steppingResult(t, r, ops, mk)
 	if segErr == nil {
 		t.Fatal("charge beyond MaxChargeWait did not fail")
@@ -260,7 +245,7 @@ func TestSegmentChargeWaitParity(t *testing.T) {
 	mkDead := func() *power.Harvester {
 		return power.NewHarvester(power.Constant{W: 0}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 	}
-	seg, segErr = r.Run(&SliceStream{Ops: ops}, mkDead())
+	seg, segErr = r.Run(StreamOf(ops), mkDead())
 	step, stepErr = steppingResult(t, r, ops, mkDead)
 	if segErr == nil {
 		t.Fatal("dead source did not fail")
@@ -276,8 +261,8 @@ func TestSegmentChargeWaitParity(t *testing.T) {
 		h.Cap.SetVoltage(cfg.CapVMax)
 		return h
 	}
-	nands := nandStream(5000).Ops
-	seg, segErr = r.Run(&SliceStream{Ops: nands}, mkFull())
+	nands := nandOps(5000)
+	seg, segErr = r.Run(StreamOf(nands), mkFull())
 	step, stepErr = steppingResult(t, r, nands, mkFull)
 	if segErr == nil || seg.Instructions < 2 {
 		t.Fatalf("mid-run recharge: error %v after %d instructions, want a charge error inside the NAND run", segErr, seg.Instructions)
@@ -290,7 +275,7 @@ func TestSegmentChargeWaitParity(t *testing.T) {
 	mkBad := func() *power.Harvester {
 		return power.NewHarvester(power.Constant{W: 60e-6}, 0, cfg.CapVMin, cfg.CapVMax)
 	}
-	seg, segErr = r.Run(&SliceStream{Ops: randomOps(rand.New(rand.NewSource(6)), 50)}, mkBad())
+	seg, segErr = r.Run(StreamOf(randomOps(rand.New(rand.NewSource(6)), 50)), mkBad())
 	step, stepErr = steppingResult(t, r, randomOps(rand.New(rand.NewSource(6)), 50), mkBad)
 	if segErr == nil || !errors.Is(segErr, power.ErrInvalidHarvester) {
 		t.Fatalf("invalid harvester did not fail typed: %v", segErr)
@@ -307,7 +292,7 @@ func TestSegmentEmptyStream(t *testing.T) {
 	mk := func() *power.Harvester {
 		return power.NewHarvester(power.Constant{W: 60e-6}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 	}
-	seg, segErr := r.Run(&SliceStream{}, mk())
+	seg, segErr := r.Run(StreamOf(nil), mk())
 	step, stepErr := steppingResult(t, r, nil, mk)
 	requireIdentical(t, "empty stream", seg, step, segErr, stepErr)
 	if !seg.Completed || seg.Instructions != 0 || seg.OffLatency == 0 {
@@ -327,16 +312,19 @@ func TestSegmentPropertyInvariants(t *testing.T) {
 		watts := 40e-6 * (1 + rng.Float64()*100)
 		ops := randomOps(rng, 200+rng.Intn(1500))
 		r := NewRunner(energy.NewModel(cfg))
-		h := power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-
-		s := &spyStream{SliceStream: SliceStream{Ops: ops}}
-		res, err := r.Run(s, h)
+		mk := func() *power.Harvester {
+			return power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
+		}
+		h := mk()
+		if _, ok := r.segmentPlan(h); !ok {
+			t.Fatalf("trial %d: segment path not taken", trial)
+		}
+		res, err := r.Run(StreamOf(ops), h)
 		if err != nil && !errors.Is(err, ErrNonTermination) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if s.runs == 0 {
-			t.Fatalf("trial %d: segment path not taken", trial)
-		}
+		step, stepErr := steppingResult(t, r, ops, mk)
+		requireIdentical(t, fmt.Sprintf("trial %d", trial), res, step, err, stepErr)
 		if res.Replays > res.Restarts {
 			t.Errorf("trial %d: %d replays exceed %d restarts", trial, res.Replays, res.Restarts)
 		}
@@ -372,7 +360,7 @@ func FuzzSegmentVsStepping(f *testing.F) {
 			return power.NewHarvester(power.Constant{W: microwatts * 1e-6}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 		}
 
-		seg, segErr := r.Run(&SliceStream{Ops: ops}, mk())
+		seg, segErr := r.Run(StreamOf(ops), mk())
 		step, stepErr := steppingResult(t, r, ops, mk)
 		requireIdentical(t, "fuzz", seg, step, segErr, stepErr)
 		requireSameTelemetry(t, "fuzz", r, ops, mk)
@@ -400,12 +388,13 @@ func FuzzCheckpointInterval(f *testing.F) {
 		}
 		cfgs := mtj.Configs()
 		cfg := cfgs[int(cfgSel)%len(cfgs)]
-		var s *SliceStream
+		var ops []energy.Op
 		if uniform {
-			s = nandStream(1 + int(n)%4096)
+			ops = nandOps(1 + int(n)%4096)
 		} else {
-			s = &SliceStream{Ops: randomOps(rand.New(rand.NewSource(seed)), int(n)%2048)}
+			ops = randomOps(rand.New(rand.NewSource(seed)), int(n)%2048)
 		}
+		s := StreamOf(ops)
 		r := NewRunner(energy.NewModel(cfg))
 		var res Result
 		var err error
@@ -414,9 +403,9 @@ func FuzzCheckpointInterval(f *testing.F) {
 		})
 		switch {
 		case err == nil:
-			if !res.Completed || res.Instructions != uint64(len(s.Ops)) {
+			if !res.Completed || res.Instructions != uint64(len(ops)) {
 				t.Errorf("k=%d: error-free run retired %d of %d instructions (completed %v)",
-					k, res.Instructions, len(s.Ops), res.Completed)
+					k, res.Instructions, len(ops), res.Completed)
 			}
 		case errors.Is(err, ErrNonTermination):
 			if res.Completed {

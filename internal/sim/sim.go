@@ -11,15 +11,17 @@
 // on the loop's own clock. Every engine prices instructions through an
 // energy.Prices table and restores through Model.Restore:
 //
-//   - The trace layer (Run/RunContinuous/RunWithCheckpointInterval)
-//     consumes an OpStream of (instruction kind, activity) events — this
-//     is how the paper-scale benchmarks execute, mirroring the authors'
-//     analytic R simulator. RunWithCheckpointInterval is the §IV-D
-//     ablation, where an outage re-performs every instruction since the
-//     last checkpoint. The analytic segment engine (segment.go) is Run's
-//     bit-identical fast path for constant sources, unobserved or
-//     observed by a probe.BulkObserver such as probe.Stats, with the
-//     stepping loop as its oracle.
+//   - The trace layer (Run/RunContinuous/RunWithCheckpointInterval/
+//     RunSweep) consumes a RunStream: the program's (instruction kind,
+//     activity) events as a compact run-length encoding, built once
+//     and shared read-only by every run. This is how the paper-scale
+//     benchmarks execute, mirroring the authors' analytic R simulator.
+//     RunWithCheckpointInterval is the §IV-D ablation, where an outage
+//     re-performs every instruction since the last checkpoint. The
+//     analytic segment engine (segment.go) is Run's bit-identical fast
+//     path for constant sources, unobserved or observed by a
+//     probe.BulkObserver such as probe.Stats, with the stepping loop as
+//     its oracle.
 //   - The functional layer (MachineRunner) drives a real
 //     controller.Controller over a bit-accurate array.Machine through
 //     the same loop, injecting outages at the exact µ-phase the energy
@@ -58,64 +60,54 @@ import (
 	"mouse/internal/probe"
 )
 
-// OpStream yields the operation sequence of a program.
-type OpStream interface {
-	// Next returns the next operation, or ok=false at program end.
-	Next() (op energy.Op, ok bool)
-	// Reset rewinds the stream to the beginning.
-	Reset()
-}
-
-// RunStream is an OpStream that can also describe itself as a
-// run-length encoding. Streams that implement it are eligible for the
-// analytic segment engine (segment.go), which prices the runs once and
-// retires whole outage-to-outage windows in bulk instead of stepping
-// Next() per instruction. Runs() must enumerate exactly the operations
-// Next() would yield from a fresh stream, in order; a run-driven
-// execution leaves the stream rewound rather than exhausted.
+// RunStream is a program's instruction stream in compact run-length
+// form: Runs enumerates its operations in order as maximal runs of
+// identical operations, every Count > 0 and no two adjacent runs
+// equal. The constructors (StreamOf, StreamOfRuns, StreamFromProgram)
+// build that slice once, and it is read-only from then on: a run only
+// reads it, so one stream value may be run any number of times, by
+// any number of Runners at once, and no run moves or consumes it.
 type RunStream interface {
-	OpStream
 	Runs() []energy.OpRun
 }
 
-// SliceStream is an OpStream over a materialized operation slice.
-type SliceStream struct {
-	Ops []energy.Op
-	pos int
-}
+// runStream is the compact encoding the constructors return.
+type runStream []energy.OpRun
 
-// Next returns the next operation.
-func (s *SliceStream) Next() (energy.Op, bool) {
-	if s.pos >= len(s.Ops) {
-		return energy.Op{}, false
+// Runs returns the encoding.
+func (s runStream) Runs() []energy.OpRun { return s }
+
+// add appends n operations op, merging them into the last run when it
+// holds the same operation: the one encoder behind every constructor.
+func (s runStream) add(op energy.Op, n int64) runStream {
+	if n <= 0 {
+		return s
 	}
-	op := s.Ops[s.pos]
-	s.pos++
-	return op, true
-}
-
-// Reset rewinds the stream.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Runs returns the slice's run-length encoding (RunStream).
-func (s *SliceStream) Runs() []energy.OpRun {
-	return encodeRuns((&SliceStream{Ops: s.Ops}).Next)
-}
-
-// encodeRuns run-length encodes what next yields until it reports the end.
-func encodeRuns(next func() (energy.Op, bool)) []energy.OpRun {
-	var runs []energy.OpRun
-	for {
-		op, ok := next()
-		if !ok {
-			return runs
-		}
-		if n := len(runs); n > 0 && runs[n-1].Op == op {
-			runs[n-1].Count++
-			continue
-		}
-		runs = append(runs, energy.OpRun{Op: op, Count: 1})
+	if k := len(s); k > 0 && s[k-1].Op == op {
+		s[k-1].Count += n
+		return s
 	}
+	return append(s, energy.OpRun{Op: op, Count: n})
+}
+
+// StreamOf returns the stream of the operations ops.
+func StreamOf(ops []energy.Op) RunStream {
+	var s runStream
+	for _, op := range ops {
+		s = s.add(op, 1)
+	}
+	return s
+}
+
+// StreamOfRuns returns the stream of runs in compact form: runs with
+// non-positive counts are dropped and adjacent runs of the same
+// operation merge. runs itself is not retained.
+func StreamOfRuns(runs []energy.OpRun) RunStream {
+	s := make(runStream, 0, len(runs))
+	for _, r := range runs {
+		s = s.add(r.Op, r.Count)
+	}
+	return s
 }
 
 // ErrNonTermination reports that the program can never make forward
@@ -180,8 +172,8 @@ type Result struct {
 // RunContinuous executes the stream under continuous power: no outages,
 // no Dead/Restore costs (Section IX, Table IV). It is the stepping loop
 // with no harvester.
-func (r *Runner) RunContinuous(s OpStream) Result {
-	res, _ := r.stepStream(s, nil, 1)
+func (r *Runner) RunContinuous(s RunStream) Result {
+	res, _ := r.step(&streamTarget{runs: s.Runs()}, nil, 1)
 	return res
 }
 
@@ -191,25 +183,25 @@ func (r *Runner) RunContinuous(s OpStream) Result {
 // columns that must be re-latched. A nil h is continuous power, as in
 // RunContinuous.
 //
-// When the stream can describe itself as runs (RunStream) and
-// segmentPlan admits the runner and harvester (a valid constant source,
-// no voltage sampling, no observer or a probe.BulkObserver, ForceStepping
-// off), Run dispatches to the analytic segment engine (segment.go),
+// When segmentPlan admits the runner and harvester (a valid constant
+// source, no voltage sampling, no observer or a probe.BulkObserver,
+// ForceStepping off), Run dispatches to the analytic segment engine
+// (segment.go), a kernel of one lane over the stream's priced runs,
 // which produces a bit-identical Result without stepping the harvester
 // and, for a bulk observer, the event totals stepping would report.
 // Trace/solar sources, other observers, sampling and ForceStepping keep
 // the per-instruction path.
-func (r *Runner) Run(s OpStream, h *power.Harvester) (Result, error) {
-	if rs, ok := s.(RunStream); ok {
-		if plan, ok := r.segmentPlan(h); ok {
-			return r.runSegments(rs, h, plan)
-		}
+func (r *Runner) Run(s RunStream, h *power.Harvester) (Result, error) {
+	if plan, ok := r.segmentPlan(h); ok {
+		ls := newSegLane(r, h, plan, energy.PrecostRuns(r.Model, s.Runs()))
+		foldLanes([]*segLane{ls})
+		return ls.res, ls.err
 	}
-	return r.stepStream(s, h, 1)
+	return r.step(&streamTarget{runs: s.Runs()}, h, 1)
 }
 
-// segmentPlan reports whether a run of a RunStream under h may take the
-// segment engine, with h's closed-form plan if so: ForceStepping is
+// segmentPlan reports whether a run under h may take the segment
+// engine, with h's closed-form plan if so: ForceStepping is
 // off, the observer is absent or a probe.BulkObserver, and h is a valid
 // constant source without voltage sampling. An invalid harvester steps,
 // which reports its error together with the initial outage event.
@@ -244,14 +236,14 @@ func (r *Runner) segmentPlan(h *power.Harvester) (power.ConstantPlan, bool) {
 //
 // interval = 1 is MOUSE's per-instruction checkpointing and returns
 // exactly Run's Result; longer intervals always take the stepping path.
-func (r *Runner) RunWithCheckpointInterval(s OpStream, h *power.Harvester, interval int) (Result, error) {
+func (r *Runner) RunWithCheckpointInterval(s RunStream, h *power.Harvester, interval int) (Result, error) {
 	if interval == 1 {
 		return r.Run(s, h)
 	}
 	if interval < 1 {
 		return Result{}, fmt.Errorf("%w (got %d)", ErrBadInterval, interval)
 	}
-	return r.stepStream(s, h, interval)
+	return r.step(&streamTarget{runs: s.Runs()}, h, interval)
 }
 
 // regionOp is an instruction committed since the last checkpoint, with
@@ -307,44 +299,30 @@ type target interface {
 	restart(cols int) error
 }
 
-// streamTarget drives an OpStream.
+// streamTarget walks a stream's runs: the next instruction is
+// runs[ri].Op, of which used have committed.
 type streamTarget struct {
-	s    OpStream
-	op   energy.Op
-	held bool
+	runs []energy.OpRun
+	ri   int
+	used int64
 }
 
 func (t *streamTarget) peek() (energy.Op, int, bool) {
-	if !t.held {
-		op, ok := t.s.Next()
-		if !ok {
-			return op, -1, false
-		}
-		t.op, t.held = op, true
+	if t.ri >= len(t.runs) {
+		return energy.Op{}, -1, false
 	}
-	return t.op, -1, true
+	return t.runs[t.ri].Op, -1, true
 }
 
 func (t *streamTarget) commit() (bool, error) {
-	t.held = false
+	if t.used++; t.used >= t.runs[t.ri].Count {
+		t.ri, t.used = t.ri+1, 0
+	}
 	return false, nil
 }
 
 func (*streamTarget) interrupt(float64) error { return nil }
 func (*streamTarget) restart(int) error       { return nil }
-
-// stepStream runs step over a stream. A stream left mid-position by a
-// previous failed run (for example after ErrNonTermination) must not
-// silently execute only a suffix on reuse: every run starts from the
-// beginning, and a failed run rewinds the stream again on the way out.
-func (r *Runner) stepStream(s OpStream, h *power.Harvester, k int) (Result, error) {
-	s.Reset()
-	res, err := r.step(&streamTarget{s: s}, h, k)
-	if err != nil {
-		s.Reset()
-	}
-	return res, err
-}
 
 // step is the per-instruction intermittent loop behind both layers: Run
 // (k = 1), RunWithCheckpointInterval (checkpoint every k instructions),

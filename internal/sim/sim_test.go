@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"mouse/internal/energy"
@@ -22,29 +23,69 @@ func opsFixture(n int) []energy.Op {
 	return ops[:n]
 }
 
-func TestSliceStream(t *testing.T) {
-	s := &SliceStream{Ops: opsFixture(3)}
-	n := 0
-	for {
-		_, ok := s.Next()
-		if !ok {
-			break
+// requireCompact fails unless runs is a compact encoding: every
+// Count > 0 and no two adjacent runs equal.
+func requireCompact(t *testing.T, runs []energy.OpRun) {
+	t.Helper()
+	for i, r := range runs {
+		if r.Count <= 0 {
+			t.Errorf("run %d %+v: count %d, want > 0", i, r.Op, r.Count)
 		}
-		n++
+		if i > 0 && runs[i-1].Op == r.Op {
+			t.Errorf("runs %d and %d both hold %+v", i-1, i, r.Op)
+		}
 	}
-	if n != 3 {
-		t.Fatalf("stream yielded %d ops", n)
+}
+
+// expand returns the operations a run-length encoding enumerates.
+func expand(runs []energy.OpRun) []energy.Op {
+	var ops []energy.Op
+	for _, r := range runs {
+		for j := int64(0); j < r.Count; j++ {
+			ops = append(ops, r.Op)
+		}
 	}
-	s.Reset()
-	if _, ok := s.Next(); !ok {
-		t.Fatalf("Reset did not rewind")
+	return ops
+}
+
+func TestSliceStream(t *testing.T) {
+	ops := opsFixture(7)
+	ops = append(ops, ops[len(ops)-1], ops[len(ops)-1]) // a run of three
+	runs := StreamOf(ops).Runs()
+	requireCompact(t, runs)
+	if got := expand(runs); !reflect.DeepEqual(got, ops) {
+		t.Fatalf("encoding enumerates %+v, want %+v", got, ops)
+	}
+	if len(runs) != 7 || runs[6].Count != 3 {
+		t.Fatalf("got %d runs ending in a run of %d, want 7 ending in 3: %+v", len(runs), runs[len(runs)-1].Count, runs)
+	}
+	if runs := StreamOf(nil).Runs(); len(runs) != 0 {
+		t.Fatalf("empty stream has runs %+v", runs)
+	}
+
+	read := energy.Op{Kind: isa.KindRead, ActivePairs: 64}
+	write := energy.Op{Kind: isa.KindWrite, ActivePairs: 64}
+	in := []energy.OpRun{
+		{Op: read, Count: 3},
+		{Op: read, Count: 2},  // merges with the previous run
+		{Op: write, Count: 0}, // dropped
+		{Op: write, Count: -1},
+		{Op: write, Count: 4},
+		{Op: read, Count: 1},
+	}
+	want := []energy.OpRun{{Op: read, Count: 5}, {Op: write, Count: 4}, {Op: read, Count: 1}}
+	if got := StreamOfRuns(in).Runs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("StreamOfRuns = %+v, want %+v", got, want)
+	}
+	if in[0].Count != 3 {
+		t.Fatalf("StreamOfRuns modified its input: %+v", in)
 	}
 }
 
 func TestRunContinuousAccounting(t *testing.T) {
 	m := energy.NewModel(mtj.ModernSTT())
 	r := NewRunner(m)
-	res := r.RunContinuous(&SliceStream{Ops: opsFixture(100)})
+	res := r.RunContinuous(StreamOf(opsFixture(100)))
 	if !res.Completed {
 		t.Fatalf("did not complete")
 	}
@@ -74,7 +115,7 @@ func TestRunIntermittentCompletes(t *testing.T) {
 	cfg := mtj.ModernSTT()
 	m := energy.NewModel(cfg)
 	r := NewRunner(m)
-	res, err := r.Run(&SliceStream{Ops: opsFixture(2000)}, harvester(cfg, 60e-6))
+	res, err := r.Run(StreamOf(opsFixture(2000)), harvester(cfg, 60e-6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +133,8 @@ func TestIntermittentMatchesContinuousComputeEnergy(t *testing.T) {
 	cfg := mtj.ProjectedSTT()
 	m := energy.NewModel(cfg)
 	r := NewRunner(m)
-	cont := r.RunContinuous(&SliceStream{Ops: opsFixture(500)})
-	inter, err := r.Run(&SliceStream{Ops: opsFixture(500)}, harvester(cfg, 60e-6))
+	cont := r.RunContinuous(StreamOf(opsFixture(500)))
+	inter, err := r.Run(StreamOf(opsFixture(500)), harvester(cfg, 60e-6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +157,11 @@ func TestLowPowerMeansMoreRestartsAndLatency(t *testing.T) {
 	}
 	big[0] = energy.Op{Kind: isa.KindAct, ActCols: 16 * 1024}
 
-	low, err := r.Run(&SliceStream{Ops: big}, harvester(cfg, 60e-6))
+	low, err := r.Run(StreamOf(big), harvester(cfg, 60e-6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := r.Run(&SliceStream{Ops: big}, harvester(cfg, 5e-3))
+	high, err := r.Run(StreamOf(big), harvester(cfg, 5e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +190,7 @@ func TestNonTerminationDetected(t *testing.T) {
 	r := NewRunner(m)
 	// An absurdly parallel op that no single discharge can pay for.
 	ops := []energy.Op{{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 1 << 30}}
-	_, err := r.Run(&SliceStream{Ops: ops}, harvester(cfg, 60e-6))
+	_, err := r.Run(StreamOf(ops), harvester(cfg, 60e-6))
 	if !errors.Is(err, ErrNonTermination) {
 		t.Fatalf("expected non-termination, got %v", err)
 	}
@@ -159,7 +200,7 @@ func TestChargeFailureSurfaces(t *testing.T) {
 	cfg := mtj.ModernSTT()
 	r := NewRunner(energy.NewModel(cfg))
 	h := power.NewHarvester(power.Constant{W: 0}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
-	if _, err := r.Run(&SliceStream{Ops: opsFixture(10)}, h); err == nil {
+	if _, err := r.Run(StreamOf(opsFixture(10)), h); err == nil {
 		t.Fatalf("zero-power source should fail to charge")
 	}
 }
@@ -168,38 +209,51 @@ func TestStreamFromProgram(t *testing.T) {
 	p := isa.Program{
 		isa.ActRange(true, 0, 0, 8, 1), // 8 cols × 4 tiles = 32 pairs
 		isa.Preset(1, mtj.P),
+		isa.Preset(1, mtj.P),
 		isa.Logic(mtj.NAND2, []int{0, 2}, 1),
 		isa.ActList(false, 1, []uint16{3}), // 1 pair
 		isa.Logic(mtj.NOT, []int{0}, 1),
 		isa.Read(0, 0),
+		isa.ActRange(true, 0, 0, 8, 1), // back to 32 pairs
+		isa.Preset(1, mtj.P),
 	}
-	s := StreamFromProgram(p, 4)
-	var got []energy.Op
-	for {
-		op, ok := s.Next()
-		if !ok {
-			break
+	runs := StreamFromProgram(p, 4).Runs()
+	requireCompact(t, runs)
+	want := []energy.OpRun{
+		{Op: energy.Op{Kind: isa.KindAct, ActCols: 32}, Count: 1},
+		{Op: energy.Op{Kind: isa.KindPreset, ActivePairs: 32}, Count: 2},
+		{Op: energy.Op{Kind: isa.KindLogic, Gate: mtj.NAND2, ActivePairs: 32}, Count: 1},
+		{Op: energy.Op{Kind: isa.KindAct, ActCols: 1}, Count: 1},
+		{Op: energy.Op{Kind: isa.KindLogic, Gate: mtj.NOT, ActivePairs: 1}, Count: 1},
+		{Op: energy.Op{Kind: isa.KindRead}, Count: 1},
+		{Op: energy.Op{Kind: isa.KindAct, ActCols: 32}, Count: 1},
+		{Op: energy.Op{Kind: isa.KindPreset, ActivePairs: 32}, Count: 1},
+	}
+	if !reflect.DeepEqual(runs, want) {
+		t.Fatalf("runs:\n got %+v\nwant %+v", runs, want)
+	}
+}
+
+// TestFailedRunLeavesStreamIntact: a run only reads its stream, so the
+// stream a run aborted with ErrNonTermination still runs in full, on
+// either engine, once the capacitor can hold an instruction.
+func TestFailedRunLeavesStreamIntact(t *testing.T) {
+	cfg := mtj.ModernSTT()
+	s := StreamOf(opsFixture(40))
+	for _, forced := range []bool{false, true} {
+		r := NewRunner(energy.NewModel(cfg))
+		r.ForceStepping = forced
+		tiny := power.NewHarvester(power.Constant{W: 60e-6}, 1e-12, cfg.CapVMin, cfg.CapVMax)
+		if _, err := r.Run(s, tiny); !errors.Is(err, ErrNonTermination) {
+			t.Fatalf("stepping %v: tiny capacitor: got %v, want non-termination", forced, err)
 		}
-		got = append(got, op)
-	}
-	if len(got) != len(p) {
-		t.Fatalf("stream yielded %d ops", len(got))
-	}
-	if got[0].ActCols != 32 {
-		t.Errorf("broadcast ACT cols = %d, want 32", got[0].ActCols)
-	}
-	if got[1].ActivePairs != 32 || got[2].ActivePairs != 32 {
-		t.Errorf("pairs after broadcast = %d/%d, want 32", got[1].ActivePairs, got[2].ActivePairs)
-	}
-	if got[3].ActCols != 1 || got[4].ActivePairs != 1 {
-		t.Errorf("pairs after targeted ACT = %d/%d, want 1", got[3].ActCols, got[4].ActivePairs)
-	}
-	if got[5].ActivePairs != 0 {
-		t.Errorf("read op should carry no pairs")
-	}
-	s.Reset()
-	if op, ok := s.Next(); !ok || op.ActCols != 32 {
-		t.Errorf("Reset did not rewind")
+		res, err := r.Run(s, harvester(cfg, 60e-6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed || res.Instructions != 40 {
+			t.Fatalf("stepping %v: rerun retired %d instructions (completed %v), want all 40", forced, res.Instructions, res.Completed)
+		}
 	}
 }
 
@@ -217,7 +271,7 @@ func TestRunEnergyConservation(t *testing.T) {
 	}
 	ops[0] = energy.Op{Kind: isa.KindAct, ActCols: 8192}
 	h := harvester(cfg, 60e-6)
-	res, err := r.Run(&SliceStream{Ops: ops}, h)
+	res, err := r.Run(StreamOf(ops), h)
 	if err != nil {
 		t.Fatal(err)
 	}

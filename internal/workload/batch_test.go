@@ -295,7 +295,7 @@ func BenchmarkHotProgramStream(b *testing.B) {
 			})
 		}
 		b.Run(tc.name+"/precost", func(b *testing.B) {
-			runs := s.(sim.RunStream).Runs()
+			runs := s.Runs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				energy.PrecostRuns(m, runs)

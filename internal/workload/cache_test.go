@@ -50,9 +50,8 @@ func TestConcurrentStreamsAreIndependent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			st := specs[g%len(specs)].Stream()
-			for _, ok := st.Next(); ok; _, ok = st.Next() {
-				counts[g]++
+			for _, r := range specs[g%len(specs)].Stream().Runs() {
+				counts[g] += r.Count
 			}
 		}(g)
 	}
@@ -66,8 +65,7 @@ func TestConcurrentStreamsAreIndependent(t *testing.T) {
 }
 
 // Cold vs cached trace generation: the cold path re-probes every macro
-// cost through the real compiler; the cached path is a map lookup plus
-// a cursor allocation. The sweep engine depends on this gap staying
+// cost through the real compiler; the cached path is a map lookup. The sweep engine depends on this gap staying
 // large — hundreds of jobs share six recipes.
 func BenchmarkTraceGenerationCold(b *testing.B) {
 	s, err := ByName("SVM ADULT")

@@ -185,32 +185,44 @@ type Phase struct {
 // Phases returns the benchmark's full execution recipe. The returned
 // slice is the caller's to mutate; the underlying recipe is memoized.
 func (s Spec) Phases() []Phase {
-	return append([]Phase(nil), s.cachedPhases()...)
+	return append([]Phase(nil), s.cached().phases...)
 }
 
-// phasesCache memoizes the compiled phase list per benchmark shape, in
-// the same style as the macro-cost cache below: building a recipe
-// probes the real compiler for every macro cost, which is far too
-// expensive to repeat for each of the hundreds of sweep jobs the
-// concurrent benchmark harness runs over the same six specs.
+// recipes memoizes the compiled phase list and its stream per
+// benchmark shape, in the same style as the macro-cost cache below:
+// building a recipe probes the real compiler for every macro cost,
+// which is far too expensive to repeat for each of the hundreds of
+// sweep jobs the concurrent benchmark harness runs over the same six
+// specs.
 var (
-	phasesMu    sync.Mutex
-	phasesCache = map[string][]Phase{}
+	recipesMu sync.Mutex
+	recipes   = map[string]recipe{}
 )
 
-// cachedPhases returns the shared, memoized phase list for s's shape.
-// The result is aliased across callers and must be treated read-only.
-func (s Spec) cachedPhases() []Phase {
+// recipe is one benchmark shape's phase list and its compact stream.
+// Both are aliased across callers and must be treated read-only.
+type recipe struct {
+	phases []Phase
+	stream sim.RunStream
+}
+
+// cached returns s's shape's memoized recipe, building it on first use.
+func (s Spec) cached() recipe {
 	key := fmt.Sprintf("%d|%d|%d|%d|%d|%v|%d|%d",
 		s.Kind, s.Features, s.InputBits, s.NumSV, s.Classes, s.Hidden, s.MemBytes, s.ParallelBudget)
-	phasesMu.Lock()
-	defer phasesMu.Unlock()
-	if ph, ok := phasesCache[key]; ok {
-		return ph
+	recipesMu.Lock()
+	defer recipesMu.Unlock()
+	if rc, ok := recipes[key]; ok {
+		return rc
 	}
 	ph := buildPhases(s)
-	phasesCache[key] = ph
-	return ph
+	runs := make([]energy.OpRun, len(ph))
+	for i, p := range ph {
+		runs[i] = energy.OpRun{Op: p.Op, Count: p.Count}
+	}
+	rc := recipe{phases: ph, stream: sim.StreamOfRuns(runs)}
+	recipes[key] = rc
+	return rc
 }
 
 // buildPhases compiles the recipe from scratch (the uncached path).
@@ -230,61 +242,24 @@ func flushCaches() {
 	costMu.Lock()
 	costCache = map[string]int{}
 	costMu.Unlock()
-	phasesMu.Lock()
-	phasesCache = map[string][]Phase{}
-	phasesMu.Unlock()
+	recipesMu.Lock()
+	recipes = map[string]recipe{}
+	recipesMu.Unlock()
 }
 
 // Instructions returns the total instruction count of one inference.
 func (s Spec) Instructions() int64 {
 	var n int64
-	for _, p := range s.cachedPhases() {
+	for _, p := range s.cached().phases {
 		n += p.Count
 	}
 	return n
 }
 
-// Stream returns an OpStream expanding the phases lazily. Streams are
-// cheap: concurrent callers share one memoized recipe, each stream
-// carrying only its own cursor.
-func (s Spec) Stream() sim.OpStream {
-	return &phaseStream{phases: s.cachedPhases()}
-}
-
-type phaseStream struct {
-	phases []Phase
-	idx    int
-	done   int64
-}
-
-func (p *phaseStream) Reset() { p.idx, p.done = 0, 0 }
-
-func (p *phaseStream) Next() (energy.Op, bool) {
-	for p.idx < len(p.phases) {
-		ph := &p.phases[p.idx]
-		if p.done < ph.Count {
-			p.done++
-			return ph.Op, true
-		}
-		p.idx++
-		p.done = 0
-	}
-	return energy.Op{}, false
-}
-
-// Runs implements sim.RunStream: the phase list already is the stream's
-// run-length encoding, which makes every workload eligible for the
-// analytic segment engine under constant power.
-func (p *phaseStream) Runs() []energy.OpRun {
-	runs := make([]energy.OpRun, 0, len(p.phases))
-	for _, ph := range p.phases {
-		if ph.Count <= 0 {
-			continue
-		}
-		runs = append(runs, energy.OpRun{Op: ph.Op, Count: ph.Count})
-	}
-	return runs
-}
+// Stream returns the benchmark's instruction stream: its phases in
+// compact run-length form, encoded once per benchmark shape and shared
+// read-only by every caller and every run.
+func (s Spec) Stream() sim.RunStream { return s.cached().stream }
 
 // --- per-benchmark phase construction -----------------------------------
 

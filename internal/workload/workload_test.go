@@ -62,21 +62,16 @@ func TestStreamMatchesPhaseCounts(t *testing.T) {
 		if want <= 0 {
 			t.Fatalf("%s: no instructions", s.Name)
 		}
-		st := s.Stream()
+		runs := s.Stream().Runs()
 		var got int64
-		for {
-			_, ok := st.Next()
-			if !ok {
-				break
+		for i, r := range runs {
+			if r.Count <= 0 || (i > 0 && runs[i-1].Op == r.Op) {
+				t.Errorf("%s: run %d %+v breaks the compact encoding", s.Name, i, r)
 			}
-			got++
+			got += r.Count
 		}
 		if got != want {
 			t.Errorf("%s: stream yielded %d ops, phases say %d", s.Name, got, want)
-		}
-		st.Reset()
-		if _, ok := st.Next(); !ok {
-			t.Errorf("%s: Reset did not rewind", s.Name)
 		}
 	}
 }
